@@ -14,7 +14,7 @@
 
 use cmp_bench::pool::{self, Job};
 use cmp_bench::table::{pct, rel, TextTable};
-use cmp_bench::{config_from_args, ok_or_exit, ParallelLab, ResultSource, WorkloadId};
+use cmp_bench::{config_from_args, ok_or_exit, Lab, WorkloadId};
 use cmp_nurapid::{CmpNurapid, NurapidConfig, PromotionPolicy};
 use cmp_sim::{
     try_run_mix_custom, try_run_multithreaded_custom, OrgKind, RunConfig, RunResult, SimError,
@@ -22,7 +22,7 @@ use cmp_sim::{
 
 /// One custom CMP-NuRAPID run as a pool job.
 fn custom(wl: &'static str, nur: NurapidConfig, cfg: RunConfig) -> Job<'static, RunResult> {
-    Box::new(move || {
+    Box::new(move |_| {
         let org = Box::new(CmpNurapid::new(nur));
         let r: Result<RunResult, SimError> = if wl.starts_with("MIX") {
             try_run_mix_custom(wl, org, &cfg)
@@ -44,7 +44,7 @@ fn main() {
 
     // Every uniform-shared baseline any study divides by.
     let baselines = ["oltp", "specjbb", "ocean", "MIX3", "MIX2"].map(baseline);
-    let mut lab = ParallelLab::new(cfg);
+    let mut lab = Lab::new(cfg);
     ok_or_exit(lab.prefetch(&baselines));
     let mut base_ipc = |wl: &'static str| {
         let (id, kind) = baseline(wl);
@@ -103,7 +103,7 @@ fn main() {
         }
     }
 
-    let results = pool::run_jobs(jobs, pool::default_threads());
+    let results = ok_or_exit(pool::run_jobs(jobs, pool::default_threads(), None).into_values());
     let mut results = results.into_iter();
     let mut take = |n: usize| results.by_ref().take(n).collect::<Vec<_>>();
 

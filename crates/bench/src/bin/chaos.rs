@@ -26,9 +26,7 @@ use std::io::Write as _;
 use std::time::Duration;
 
 use cmp_audit::ChaosSchedule;
-use cmp_bench::{
-    figures, ok_or_exit, Json, Pair, ParallelLab, Resilience, ResultSource, JOURNAL_ENV,
-};
+use cmp_bench::{config_arg, figures, ok_or_exit, pool, Json, Lab, Pair, Resilience, JOURNAL_ENV};
 use cmp_sim::{RunConfig, RunResult};
 
 const REPORT_PATH: &str = "BENCH_chaos.json";
@@ -46,7 +44,7 @@ fn deadline_for(cfg: &RunConfig) -> Duration {
 }
 
 /// Renders every figure through `lab` into one byte string.
-fn render_figures(lab: &mut ParallelLab) -> String {
+fn render_figures(lab: &mut Lab) -> String {
     let mut out = String::new();
     for render in [
         figures::fig5,
@@ -65,7 +63,7 @@ fn render_figures(lab: &mut ParallelLab) -> String {
     out
 }
 
-fn results_match(a: &mut ParallelLab, b: &mut ParallelLab, unique: &[Pair]) -> Vec<String> {
+fn results_match(a: &mut Lab, b: &mut Lab, unique: &[Pair]) -> Vec<String> {
     let mut mismatches = Vec::new();
     for &(wl, kind) in unique {
         let left: RunResult = a.result(wl, kind).clone();
@@ -80,17 +78,11 @@ fn main() {
     // Chaos is about fault coverage, not simulation fidelity; default
     // to the quick sizing rather than `config_from_args`'s paper
     // default.
-    let cfg = match std::env::args().nth(1).as_deref() {
-        None | Some("quick") => RunConfig::quick(),
-        Some("paper") => RunConfig::paper(),
-        Some(n) => {
-            let measure: u64 = n.parse().unwrap_or_else(|_| {
-                eprintln!("usage: chaos [quick|paper|<measure_accesses>]");
-                std::process::exit(2);
-            });
-            RunConfig::sized(measure / 2, measure, 0x15CA)
-        }
-    };
+    let arg = std::env::args().nth(1);
+    let cfg = config_arg(Some(arg.as_deref().unwrap_or("quick"))).unwrap_or_else(|| {
+        eprintln!("usage: chaos [quick|paper|<measure_accesses>]");
+        std::process::exit(2);
+    });
     // The harness manages its own journal; an inherited one would make
     // the reference and chaos labs share state.
     if std::env::var_os(JOURNAL_ENV).is_some() {
@@ -102,7 +94,7 @@ fn main() {
     let mut failures: Vec<String> = Vec::new();
 
     // Act 1: fault-free reference.
-    let mut reference = ParallelLab::new(cfg);
+    let mut reference = Lab::new(cfg);
     ok_or_exit(reference.prefetch(&submitted).map(|_| ()));
     if !reference.last_report().is_clean() {
         failures.push(format!("reference sweep not clean: {}", reference.last_report().summary()));
@@ -124,7 +116,7 @@ fn main() {
     );
     let armed_panics = schedule.specs().iter().filter(|s| s.event.token() == "panic").count();
     let armed_stalls = schedule.len() - armed_panics;
-    let mut chaos = ParallelLab::new(cfg);
+    let mut chaos = Lab::new(cfg);
     chaos.set_resilience(Resilience {
         max_attempts: 3,
         deadline: Some(deadline),
@@ -176,11 +168,7 @@ fn main() {
     let mut restored = 0usize;
     let mut resimulated = 0usize;
     {
-        let mut first = ok_or_exit(ParallelLab::with_journal(
-            cfg,
-            ParallelLab::new(cfg).threads(),
-            &journal_path,
-        ));
+        let mut first = ok_or_exit(Lab::with_journal(cfg, pool::default_threads(), &journal_path));
         ok_or_exit(first.prefetch(&submitted).map(|_| ()));
     }
     let text = std::fs::read_to_string(&journal_path).unwrap_or_default();
@@ -200,11 +188,8 @@ fn main() {
         {
             failures.push(format!("could not truncate journal: {e}"));
         } else {
-            let mut resumed = ok_or_exit(ParallelLab::with_journal(
-                cfg,
-                ParallelLab::new(cfg).threads(),
-                &journal_path,
-            ));
+            let mut resumed =
+                ok_or_exit(Lab::with_journal(cfg, pool::default_threads(), &journal_path));
             restored = resumed.restored();
             ok_or_exit(resumed.prefetch(&submitted).map(|_| ()));
             resimulated = resumed.simulations();

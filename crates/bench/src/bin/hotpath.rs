@@ -1,8 +1,8 @@
 //! Self-measuring hot-path benchmark: times the full figure sweep
-//! (the union of every figure's (workload, organization) pairs)
-//! through the sequential [`Lab`] (which takes the monomorphized
-//! driver), re-times the same sweep through the `Box<dyn CacheOrg>`
-//! entry points as the dyn-dispatch baseline — measured in the same
+//! (the union of every figure's (workload, organization) pairs) pair
+//! by pair through a [`Lab`] (which takes the monomorphized driver),
+//! re-times the same sweep through the `Box<dyn CacheOrg>` entry
+//! points as the dyn-dispatch baseline — measured in the same
 //! run, on the same machine, never carried over from an old report —
 //! and asserts the two sweeps agree bit-for-bit before reporting the
 //! speedup. A handful of microbenchmarks of the structures on the
@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cmp_bench::{figures, ok_or_exit, Json, Lab, ResultSource, WorkloadId};
+use cmp_bench::{figures, ok_or_exit, Json, Lab, WorkloadId};
 use cmp_cache::lru::LruOrder;
 use cmp_cache::{TagArray, UniformShared};
 use cmp_latency::LatencyBook;

@@ -1,6 +1,6 @@
 //! Parallel-lab benchmark and self-check: runs the full figure sweep
 //! (the union of every figure's (workload, organization) pairs) once
-//! through the sequential `Lab` and once through the `ParallelLab`,
+//! pair by pair through a one-worker `Lab` and once as a pooled batch,
 //! verifies that every `RunResult`, every rendered figure, and every
 //! numeric series is byte-identical, and writes a
 //! `BENCH_parallel_lab.json` report (wall-clock sequential vs
@@ -18,7 +18,7 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use cmp_bench::{config_from_args, figures, ok_or_exit, Engine, Json, Lab, ResultSource};
+use cmp_bench::{config_from_args, figures, ok_or_exit, Json, Lab};
 
 const REPORT_PATH: &str = "BENCH_parallel_lab.json";
 
@@ -29,18 +29,18 @@ fn main() {
     let unique: Vec<_> = submitted.iter().copied().filter(|p| seen.insert(*p)).collect();
 
     // Sequential sweep, one pair at a time.
-    let mut seq = Lab::new(cfg);
+    let mut seq = Lab::with_threads(cfg, 1);
     let t0 = Instant::now();
     for &(wl, kind) in &unique {
         ok_or_exit(seq.try_result(wl, kind).map(|_| ()));
     }
     let sequential_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Parallel sweep of the same batch through the shared Engine
-    // facade (journal-resumed when CMP_SWEEP_JOURNAL is set) — the
-    // same front door the cmp-serve service drives, so this binary's
-    // determinism gate also covers the serving path's engine.
-    let mut par = ok_or_exit(Engine::from_env(cfg));
+    // Parallel sweep of the same batch (journal-resumed when
+    // CMP_SWEEP_JOURNAL is set) through `Lab::run_batch` — the same
+    // path the cmp-serve service drives, so this binary's determinism
+    // gate also covers the serving path.
+    let mut par = ok_or_exit(Lab::from_env(cfg));
     if let Some(path) = par.journal_path() {
         eprintln!(
             "journal {}: resumed {} pair(s), checkpointing the rest",
@@ -61,27 +61,25 @@ fn main() {
     }
     // Determinism check 2: byte-identical rendered figures and
     // numeric series.
-    type Renderer = (&'static str, fn(&mut Lab) -> String, fn(&mut Engine) -> String);
-    let renderers: Vec<Renderer> = vec![
-        ("fig5", figures::fig5, figures::fig5),
-        ("fig6", figures::fig6, figures::fig6),
-        ("fig7", figures::fig7, figures::fig7),
-        ("fig8", figures::fig8, figures::fig8),
-        ("fig9", figures::fig9, figures::fig9),
-        ("fig10", figures::fig10, figures::fig10),
-        ("fig11", figures::fig11, figures::fig11),
-        ("fig12", figures::fig12, figures::fig12),
-        ("closest_dgroup_share", figures::closest_dgroup_share, figures::closest_dgroup_share),
+    type Renderer = (&'static str, fn(&mut Lab) -> String);
+    let renderers: [Renderer; 9] = [
+        ("fig5", figures::fig5),
+        ("fig6", figures::fig6),
+        ("fig7", figures::fig7),
+        ("fig8", figures::fig8),
+        ("fig9", figures::fig9),
+        ("fig10", figures::fig10),
+        ("fig11", figures::fig11),
+        ("fig12", figures::fig12),
+        ("closest_dgroup_share", figures::closest_dgroup_share),
     ];
-    for (name, render_seq, render_par) in renderers {
-        if render_seq(&mut seq) != render_par(&mut par) {
+    for (name, render) in renderers {
+        if render(&mut seq) != render(&mut par) {
             mismatches.push(format!("figure {name}"));
         }
     }
-    for ((name, _, seq_extract), (_, _, par_extract)) in
-        figures::series::catalog::<Lab>().into_iter().zip(figures::series::catalog::<Engine>())
-    {
-        if seq_extract(&mut seq) != par_extract(&mut par) {
+    for (name, _, extract) in figures::series::catalog() {
+        if extract(&mut seq) != extract(&mut par) {
             mismatches.push(format!("series {name}"));
         }
     }

@@ -12,9 +12,9 @@
 //!
 //! Usage: `scaling [quick|paper|REFS]`
 
-use cmp_bench::config_from_args;
 use cmp_bench::pool::{self, Job};
 use cmp_bench::table::{rel, TextTable};
+use cmp_bench::{config_from_args, ok_or_exit};
 use cmp_cache::{CacheOrg, PrivateMesi, Snuca, UniformShared};
 use cmp_latency::{LatencyBook, Table1};
 use cmp_nurapid::{CmpNurapid, NurapidConfig};
@@ -46,7 +46,7 @@ fn main() {
     let mut jobs: Vec<Job<RunResult>> = Vec::new();
     for &cores in &core_counts {
         for which in 0..ORG_LABELS.len() {
-            jobs.push(Box::new(move || {
+            jobs.push(Box::new(move |_| {
                 let book = LatencyBook::from_table1(&Table1::published(), cores);
                 let per_core = (cfg.measure_accesses * 4 / cores as u64).max(10_000);
                 let warmup = (cfg.warmup_accesses * 4 / cores as u64).max(5_000);
@@ -56,7 +56,7 @@ fn main() {
             }));
         }
     }
-    let all = pool::run_jobs(jobs, pool::default_threads());
+    let all = ok_or_exit(pool::run_jobs(jobs, pool::default_threads(), None).into_values());
 
     let mut t = TextTable::new(vec![
         "cores",

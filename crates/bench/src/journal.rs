@@ -59,9 +59,9 @@ pub fn fsync_every_from_env_or(default: usize) -> usize {
     cmp_obs::env_parse_valid::<usize>(FSYNC_EVERY_ENV, |n| *n >= 1).unwrap_or(default.max(1))
 }
 
-/// Default group-commit interval for the batch sweep paths
-/// ([`crate::lab::ParallelLab::with_journal`] and the engines built
-/// on it). Per-record fsync showed up as a parallel-scaling
+/// Default group-commit interval for journaled labs
+/// ([`crate::Lab::with_journal`], which the serving layer's labs use
+/// too). Per-record fsync showed up as a parallel-scaling
 /// bottleneck: the merge loop fsyncs on the caller's thread, so at
 /// ~5 ms per fsync a 51-pair sweep spent more wall-clock committing
 /// records than the workers saved. Batching amortizes that to one

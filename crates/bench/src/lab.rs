@@ -1,16 +1,18 @@
-//! The memoizing experiment runners: the sequential [`Lab`] and the
-//! scoped-thread [`ParallelLab`] that fans a batch of (workload,
-//! organization) pairs across workers.
+//! The memoizing experiment runner: [`Lab`] simulates (workload,
+//! organization) pairs on demand, caches every result, and fans
+//! batches of pairs across a scoped worker pool.
 //!
-//! Both implement [`ResultSource`], the interface the figure
-//! renderers are written against, and both are backed by the same
-//! memo cache keyed on `(WorkloadId, OrgKind)`, so a pair is
-//! simulated at most once per lab no matter how figures overlap.
-//! Every simulation takes its seed from the lab's [`RunConfig`] and
-//! shares no mutable state with any other, which is why the parallel
-//! path is deterministic: the result of a pair is a pure function of
-//! `(pair, config)`, and [`ParallelLab::prefetch`] merges results
-//! back in submission order, so any thread count produces
+//! One memo cache keyed on `(WorkloadId, OrgKind)` backs every path —
+//! lazy lookups ([`Lab::try_result`]), batch prefetches
+//! ([`Lab::prefetch`], [`Lab::run_batch`]), journal restores, and
+//! results adopted from shard processes ([`Lab::adopt`]) — so a pair
+//! is simulated at most once per lab no matter how figures overlap.
+//! Sequential is just `threads = 1`: lazy lookups always simulate
+//! inline, and a batch on one worker runs inline on the caller's
+//! thread. Every simulation takes its seed from the lab's
+//! [`RunConfig`] and shares no mutable state with any other, so the
+//! result of a pair is a pure function of `(pair, config)`; batches
+//! merge back in submission order, so any thread count produces
 //! byte-identical figures and tables.
 
 use std::collections::{HashMap, HashSet};
@@ -63,117 +65,8 @@ pub(crate) fn simulate_pair(pair: Pair, cfg: &RunConfig) -> Result<RunResult, Si
     }
 }
 
-/// Anything that can produce memoized [`RunResult`]s for (workload,
-/// organization) pairs: the figure/table renderers are generic over
-/// this, so the sequential [`Lab`] and the [`ParallelLab`] share one
-/// rendering path (which is also how the determinism suite compares
-/// them byte for byte).
-pub trait ResultSource {
-    /// The run configuration in use.
-    fn config(&self) -> &RunConfig;
-
-    /// Returns the (cached) result for a pair, surfacing unknown
-    /// workload names instead of panicking.
-    fn try_result(&mut self, workload: WorkloadId, kind: OrgKind) -> Result<&RunResult, SimError>;
-
-    /// Number of pairs simulated so far.
-    fn runs(&self) -> usize;
-
-    /// Returns the (cached) result for a workload/organization pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown workload name; prefer
-    /// [`ResultSource::try_result`] when the name is not a
-    /// compile-time constant.
-    fn result(&mut self, workload: WorkloadId, kind: OrgKind) -> &RunResult {
-        self.try_result(workload, kind).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Relative performance of `kind` vs the uniform-shared baseline
-    /// on one workload (Figures 6, 10, 12).
-    fn relative(&mut self, workload: WorkloadId, kind: OrgKind) -> f64 {
-        let base = self.result(workload, OrgKind::Shared).ipc();
-        let this = self.result(workload, kind).ipc();
-        this / base
-    }
-
-    /// Arithmetic average of `relative` over several multithreaded
-    /// workloads (the paper reports arithmetic averages).
-    fn average_relative(&mut self, workloads: &[&'static str], kind: OrgKind) -> f64 {
-        let sum: f64 =
-            workloads.iter().map(|w| self.relative(WorkloadId::Multithreaded(w), kind)).sum();
-        sum / workloads.len() as f64
-    }
-}
-
-/// Runs (workload, organization) pairs on demand and memoizes the
-/// results, so the figures that share runs (5, 6, 7, 8, 9, 10 all
-/// reuse the shared/private baselines) simulate each pair once.
-pub struct Lab {
-    cfg: RunConfig,
-    cache: HashMap<Pair, RunResult>,
-    simulations: usize,
-}
-
-impl Lab {
-    /// Creates a lab with the given run sizing.
-    pub fn new(cfg: RunConfig) -> Self {
-        Lab { cfg, cache: HashMap::new(), simulations: 0 }
-    }
-
-    /// Number of simulations actually performed (as opposed to cache
-    /// hits). Equals [`ResultSource::runs`] unless results were
-    /// inserted from outside, as [`ParallelLab::prefetch`] does.
-    pub fn simulations(&self) -> usize {
-        self.simulations
-    }
-
-    /// Whether a pair is already cached.
-    pub fn contains(&self, workload: WorkloadId, kind: OrgKind) -> bool {
-        self.cache.contains_key(&(workload, kind))
-    }
-
-    /// Borrow of a cached result, if present.
-    pub(crate) fn get(&self, pair: Pair) -> Option<&RunResult> {
-        self.cache.get(&pair)
-    }
-
-    /// Inserts an externally simulated result (the parallel batch
-    /// path). Counts as a simulation performed by this lab.
-    fn insert(&mut self, pair: Pair, result: RunResult) {
-        self.simulations += 1;
-        self.cache.insert(pair, result);
-    }
-
-    /// Inserts a result restored from a checkpoint journal: cached,
-    /// but *not* counted as a simulation (nothing was computed).
-    fn restore(&mut self, pair: Pair, result: RunResult) {
-        self.cache.insert(pair, result);
-    }
-}
-
-impl ResultSource for Lab {
-    fn config(&self) -> &RunConfig {
-        &self.cfg
-    }
-
-    fn try_result(&mut self, workload: WorkloadId, kind: OrgKind) -> Result<&RunResult, SimError> {
-        let key = (workload, kind);
-        if !self.cache.contains_key(&key) {
-            let r = simulate_pair(key, &self.cfg)?;
-            self.insert(key, r);
-        }
-        Ok(&self.cache[&key])
-    }
-
-    fn runs(&self) -> usize {
-        self.cache.len()
-    }
-}
-
-/// Per-submission outcome of [`ParallelLab::run_batch`], aligned with
-/// the submitted slice (duplicates included: every submission gets a
+/// Per-submission outcome of [`Lab::run_batch`], aligned with the
+/// submitted slice (duplicates included: every submission gets a
 /// slot, which is how the serving layer answers N coalesced requests
 /// from one simulation).
 #[derive(Clone, Debug)]
@@ -193,8 +86,7 @@ pub enum BatchSlot {
     /// a deterministic answer, never retried.
     Failed(SimError),
     /// An infrastructure fault (panic, deadline, lost worker)
-    /// survived every retry; details also in
-    /// [`ParallelLab::last_report`].
+    /// survived every retry; details also in [`Lab::last_report`].
     Quarantined(JobError),
 }
 
@@ -214,8 +106,8 @@ impl BatchSlot {
     }
 }
 
-/// Per-pair timing recorded by [`ParallelLab::prefetch`], in
-/// submission order of the deduplicated misses.
+/// Per-pair timing recorded by [`Lab::prefetch`], in submission order
+/// of the deduplicated misses.
 #[derive(Clone, Debug)]
 pub struct PairTiming {
     /// The workload of the simulated pair.
@@ -226,23 +118,25 @@ pub struct PairTiming {
     pub millis: f64,
 }
 
-/// A [`Lab`] with a batch front door: [`ParallelLab::prefetch`]
-/// deduplicates a batch of pairs against the memo cache, fans the
-/// misses out across `CMP_BENCH_THREADS` scoped workers (default:
-/// available parallelism), and merges the results back in submission
-/// order. Single lookups fall back to the sequential path, so the
-/// type is a drop-in [`ResultSource`].
+/// Runs (workload, organization) pairs on demand and memoizes the
+/// results, so the figures that share runs (5, 6, 7, 8, 9, 10 all
+/// reuse the shared/private baselines) simulate each pair once.
 ///
-/// Batches run through the resilient sweep engine
+/// Single lookups ([`Lab::result`], [`Lab::try_result`]) simulate a
+/// miss inline. Batches ([`Lab::prefetch`], [`Lab::run_batch`])
+/// deduplicate against the memo cache, fan the misses out across
+/// [`Lab::threads`] workers, and merge the results back in submission
+/// order. They run through the resilient sweep engine
 /// ([`crate::sweep`]): every job is panic-isolated, failed attempts
-/// are retried deterministically (a pair's result is a pure function
-/// of `(pair, config)`, so a re-run is bit-identical), and jobs that
-/// exhaust their budget are quarantined into [`ParallelLab::last_report`]
-/// instead of aborting the sweep. Attach a checkpoint journal with
-/// [`ParallelLab::with_journal`] and a killed sweep resumes exactly
-/// where it stopped.
-pub struct ParallelLab {
-    lab: Lab,
+/// are retried deterministically (a re-run is bit-identical), and
+/// jobs that exhaust their budget are quarantined into
+/// [`Lab::last_report`] instead of aborting the batch. Attach a
+/// checkpoint journal with [`Lab::with_journal`] and a killed sweep
+/// resumes exactly where it stopped.
+pub struct Lab {
+    cfg: RunConfig,
+    cache: HashMap<Pair, RunResult>,
+    simulations: usize,
     threads: usize,
     resilience: Resilience,
     journal: Option<Journal>,
@@ -250,18 +144,20 @@ pub struct ParallelLab {
     last_report: SweepReport,
 }
 
-impl ParallelLab {
-    /// Creates a parallel lab with the worker count from
-    /// `CMP_BENCH_THREADS` (default: available parallelism).
+impl Lab {
+    /// Creates a lab with the worker count from `CMP_BENCH_THREADS`
+    /// (default: available parallelism) and no journal.
     pub fn new(cfg: RunConfig) -> Self {
         Self::with_threads(cfg, pool::default_threads())
     }
 
-    /// Creates a parallel lab with an explicit worker count (clamped
-    /// to at least 1).
+    /// Creates a lab with an explicit worker count (clamped to at
+    /// least 1; 1 runs every batch inline on the caller's thread).
     pub fn with_threads(cfg: RunConfig, threads: usize) -> Self {
-        ParallelLab {
-            lab: Lab::new(cfg),
+        Lab {
+            cfg,
+            cache: HashMap::new(),
+            simulations: 0,
             threads: threads.max(1),
             resilience: Resilience::default(),
             journal: None,
@@ -270,15 +166,14 @@ impl ParallelLab {
         }
     }
 
-    /// Creates a parallel lab checkpointing to (and resuming from)
-    /// the journal at `path`: completed records already on disk are
-    /// restored into the memo cache, and every pair simulated from
-    /// now on is appended as it completes. Appends are
-    /// group-committed (one fsync per
-    /// [`crate::journal::SWEEP_FSYNC_EVERY`] records, overridable via
-    /// [`crate::journal::FSYNC_EVERY_ENV`]) with a final sync when
-    /// each batch completes, so the per-record fsync never serializes
-    /// the sweep's merge loop.
+    /// Creates a lab checkpointing to (and resuming from) the journal
+    /// at `path`: completed records already on disk are restored into
+    /// the memo cache, and every pair simulated from now on is
+    /// appended as it completes. Appends are group-committed (one
+    /// fsync per [`crate::journal::SWEEP_FSYNC_EVERY`] records,
+    /// overridable via [`crate::journal::FSYNC_EVERY_ENV`]) with a
+    /// final sync when each batch completes, so the per-record fsync
+    /// never serializes the sweep's merge loop.
     pub fn with_journal(
         cfg: RunConfig,
         threads: usize,
@@ -290,15 +185,15 @@ impl ParallelLab {
         ));
         let mut lab = Self::with_threads(cfg, threads);
         lab.restored = records.len();
-        for (pair, result) in records {
-            lab.lab.restore(pair, result);
-        }
+        // Restored records are cached but not counted as simulations
+        // (nothing was computed).
+        lab.cache.extend(records);
         lab.journal = Some(journal);
         Ok(lab)
     }
 
-    /// Creates a parallel lab honouring the environment: worker count
-    /// from `CMP_BENCH_THREADS`, checkpoint journal from
+    /// Creates a lab honouring the environment: worker count from
+    /// `CMP_BENCH_THREADS`, checkpoint journal from
     /// [`crate::journal::JOURNAL_ENV`] when set and non-empty.
     pub fn from_env(cfg: RunConfig) -> Result<Self, SimError> {
         match std::env::var(crate::journal::JOURNAL_ENV) {
@@ -307,6 +202,11 @@ impl ParallelLab {
             }
             _ => Ok(Self::new(cfg)),
         }
+    }
+
+    /// The run configuration in use.
+    pub fn config(&self) -> &RunConfig {
+        &self.cfg
     }
 
     /// Overrides the retry/deadline/chaos policy for future batches.
@@ -319,15 +219,28 @@ impl ParallelLab {
         &self.resilience
     }
 
+    /// Overrides the worker count for future batches (clamped to at
+    /// least 1). The serving layer uses this to honour a request's
+    /// `max-concurrency` field.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
     /// The worker count batches fan out to.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
+    /// Number of pairs in the memo cache.
+    pub fn runs(&self) -> usize {
+        self.cache.len()
+    }
+
     /// Number of simulations actually performed (cache hits,
-    /// duplicate submissions, and journal-restored pairs excluded).
+    /// duplicate submissions, and journal-restored pairs excluded;
+    /// adopted shard results included).
     pub fn simulations(&self) -> usize {
-        self.lab.simulations()
+        self.simulations
     }
 
     /// Number of pairs restored from the checkpoint journal at
@@ -341,39 +254,91 @@ impl ParallelLab {
         self.journal.as_ref().map(Journal::path)
     }
 
-    /// The resilience report of the most recent
-    /// [`ParallelLab::prefetch`] batch (quarantined jobs, retries,
-    /// injected-fault accounting). Clean and empty before the first
-    /// batch.
+    /// The resilience report of the most recent batch (quarantined
+    /// jobs, retries, injected-fault accounting). Clean and empty
+    /// before the first batch.
     pub fn last_report(&self) -> &SweepReport {
         &self.last_report
     }
 
-    /// Appends a freshly simulated pair to the journal, detaching the
-    /// journal (loudly) on write failure so one disk hiccup does not
-    /// kill an hours-long sweep.
-    fn checkpoint(journal: &mut Option<Journal>, pair: Pair, result: &RunResult) {
-        if let Some(j) = journal {
-            if let Err(e) = j.append(pair, result) {
-                cmp_obs::warn!("sweep journaling disabled", cause = e);
-                *journal = None;
-            }
-        }
+    /// Whether a pair is already in the memo cache (a submission for
+    /// it would be answered without simulating).
+    pub fn contains(&self, workload: WorkloadId, kind: OrgKind) -> bool {
+        self.cache.contains_key(&(workload, kind))
     }
 
-    /// The batch engine core shared by [`ParallelLab::prefetch`] (the
-    /// CLI batch path) and the serving layer's [`crate::engine::Engine`]:
-    /// simulates every not-yet-cached pair of the batch across the
+    /// Borrow of a cached result, if present (no simulation).
+    pub fn peek(&self, pair: Pair) -> Option<&RunResult> {
+        self.cache.get(&pair)
+    }
+
+    /// Returns the (cached) result for a pair, simulating it inline on
+    /// a miss and surfacing unknown workload names instead of
+    /// panicking.
+    pub fn try_result(
+        &mut self,
+        workload: WorkloadId,
+        kind: OrgKind,
+    ) -> Result<&RunResult, SimError> {
+        let pair = (workload, kind);
+        if !self.cache.contains_key(&pair) {
+            let result = simulate_pair(pair, &self.cfg)?;
+            self.insert(pair, result);
+        }
+        Ok(&self.cache[&pair])
+    }
+
+    /// Returns the (cached) result for a workload/organization pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown workload name; prefer [`Lab::try_result`]
+    /// when the name is not a compile-time constant.
+    pub fn result(&mut self, workload: WorkloadId, kind: OrgKind) -> &RunResult {
+        self.try_result(workload, kind).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Relative performance of `kind` vs the uniform-shared baseline
+    /// on one workload (Figures 6, 10, 12).
+    pub fn relative(&mut self, workload: WorkloadId, kind: OrgKind) -> f64 {
+        let base = self.result(workload, OrgKind::Shared).ipc();
+        let this = self.result(workload, kind).ipc();
+        this / base
+    }
+
+    /// Arithmetic average of `relative` over several multithreaded
+    /// workloads (the paper reports arithmetic averages).
+    pub fn average_relative(&mut self, workloads: &[&'static str], kind: OrgKind) -> f64 {
+        let sum: f64 =
+            workloads.iter().map(|w| self.relative(WorkloadId::Multithreaded(w), kind)).sum();
+        sum / workloads.len() as f64
+    }
+
+    /// Caches and journals a freshly computed pair; counts as a
+    /// simulation performed on this lab's behalf.
+    fn insert(&mut self, pair: Pair, result: RunResult) {
+        if let Some(j) = &mut self.journal {
+            // A disk hiccup detaches the journal (loudly) instead of
+            // killing an hours-long sweep.
+            if let Err(e) = j.append(pair, &result) {
+                cmp_obs::warn!("sweep journaling disabled", cause = e);
+                self.journal = None;
+            }
+        }
+        self.simulations += 1;
+        self.cache.insert(pair, result);
+    }
+
+    /// Simulates every not-yet-cached pair of the batch across the
     /// worker pool, merges fresh results into the memo cache (and the
     /// journal) in submission order, and returns one [`BatchSlot`]
-    /// per *submission* — duplicates, cache hits, and
-    /// journal-restored pairs are simulated zero times but still
-    /// answered.
+    /// per *submission* — duplicates, cache hits, and journal-restored
+    /// pairs are simulated zero times but still answered.
     ///
     /// Faults (worker panics, deadline overruns) are retried up to
     /// the [`Resilience`] budget; pairs that exhaust it come back as
-    /// [`BatchSlot::Quarantined`] and in [`ParallelLab::last_report`]
-    /// — the batch itself always completes.
+    /// [`BatchSlot::Quarantined`] and in [`Lab::last_report`] — the
+    /// batch itself always completes.
     pub fn run_batch(&mut self, pairs: &[Pair]) -> Vec<BatchSlot> {
         let _span = cmp_obs::span!("bench.prefetch");
         // Deduplicate in submission order, dropping cache hits.
@@ -381,10 +346,9 @@ impl ParallelLab {
         let misses: Vec<Pair> = pairs
             .iter()
             .copied()
-            .filter(|p| !self.lab.contains(p.0, p.1) && seen.insert(*p))
+            .filter(|p| !self.cache.contains_key(p) && seen.insert(*p))
             .collect();
-        let cfg = self.lab.cfg;
-        let (slots, report) = sweep::run_pairs(&misses, &cfg, self.threads, &self.resilience);
+        let (slots, report) = sweep::run_pairs(&misses, &self.cfg, self.threads, &self.resilience);
         self.last_report = report;
         // Merge fresh results into the cache in submission order,
         // noting deterministic failures and which miss carried each
@@ -394,8 +358,7 @@ impl ParallelLab {
         for (pair, slot) in misses.into_iter().zip(slots) {
             match slot {
                 Some((Ok(r), millis)) => {
-                    Self::checkpoint(&mut self.journal, pair, &r);
-                    self.lab.insert(pair, r);
+                    self.insert(pair, r);
                     fresh_ms.insert(pair, millis);
                 }
                 Some((Err(e), _)) => {
@@ -424,32 +387,26 @@ impl ParallelLab {
                     BatchSlot::Failed(e.clone())
                 } else if let Some(e) = quarantined.get(&pair) {
                     BatchSlot::Quarantined(e.clone())
-                } else if let Some(r) = self.lab.get(pair) {
+                } else if let Some(r) = self.cache.get(&pair) {
                     // The first submission of a fresh pair takes the
                     // timing; duplicates and cache hits report None.
                     BatchSlot::Done { result: Box::new(r.clone()), millis: fresh_ms.remove(&pair) }
                 } else {
-                    // Unreachable through the engine (every miss is
-                    // cached, failed, or quarantined); a defensive
-                    // answer beats a panic in a serving path.
+                    // Unreachable (every miss is cached, failed, or
+                    // quarantined); a defensive answer beats a panic
+                    // in a serving path.
                     BatchSlot::Quarantined(JobError::Cancelled)
                 }
             })
             .collect()
     }
 
-    /// Simulates every not-yet-cached pair of the batch across the
-    /// worker pool and merges the results into the memo cache in
-    /// submission order. Duplicate submissions, already-cached pairs,
-    /// and journal-restored pairs are simulated zero times. Returns
-    /// per-pair timings of the misses; on an unknown workload name,
-    /// every valid pair is still cached and the first error (in
-    /// submission order) is returned.
-    ///
-    /// Faults (worker panics, deadline overruns) are retried up to
-    /// the [`Resilience`] budget; pairs that exhaust it are
-    /// quarantined in [`ParallelLab::last_report`] — the batch itself
-    /// still completes with partial results.
+    /// The CLI view of [`Lab::run_batch`]: simulates every
+    /// not-yet-cached pair of the batch and returns per-pair timings
+    /// of the misses. On an unknown workload name, every valid pair
+    /// is still cached and the first error (in submission order) is
+    /// returned; quarantined pairs are left for [`Lab::last_report`]
+    /// and re-simulated inline if a renderer asks for them.
     pub fn prefetch(&mut self, pairs: &[Pair]) -> Result<Vec<PairTiming>, SimError> {
         let slots = self.run_batch(pairs);
         let mut timings = Vec::new();
@@ -470,35 +427,15 @@ impl ParallelLab {
         }
     }
 
-    /// Overrides the worker count for future batches (clamped to at
-    /// least 1). The serving layer uses this to honour a request's
-    /// `max-concurrency` field.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Whether a pair is already in the memo cache (a submission for
-    /// it would be answered without simulating).
-    pub fn contains(&self, workload: WorkloadId, kind: OrgKind) -> bool {
-        self.lab.contains(workload, kind)
-    }
-
-    /// Borrow of a cached result, if present (no simulation).
-    pub fn peek(&self, pair: Pair) -> Option<&RunResult> {
-        self.lab.get(pair)
-    }
-
     /// Adopts a result computed outside this lab — the OS-process
     /// shard path ([`crate::shard`]) — into the memo cache, with the
     /// same journaling as a locally simulated pair. Counts as a
     /// simulation (work was performed on this lab's behalf); a pair
     /// already cached is left untouched.
     pub fn adopt(&mut self, pair: Pair, result: RunResult) {
-        if self.lab.contains(pair.0, pair.1) {
-            return;
+        if !self.cache.contains_key(&pair) {
+            self.insert(pair, result);
         }
-        Self::checkpoint(&mut self.journal, pair, &result);
-        self.lab.insert(pair, result);
     }
 
     /// Overrides the journal's group-commit interval (no-op without a
@@ -516,25 +453,6 @@ impl ParallelLab {
             Some(j) => j.sync(),
             None => Ok(()),
         }
-    }
-}
-
-impl ResultSource for ParallelLab {
-    fn config(&self) -> &RunConfig {
-        self.lab.config()
-    }
-
-    fn try_result(&mut self, workload: WorkloadId, kind: OrgKind) -> Result<&RunResult, SimError> {
-        let was_cached = self.lab.contains(workload, kind);
-        let result = self.lab.try_result(workload, kind)?;
-        if !was_cached {
-            Self::checkpoint(&mut self.journal, (workload, kind), result);
-        }
-        Ok(result)
-    }
-
-    fn runs(&self) -> usize {
-        self.lab.runs()
     }
 }
 
@@ -595,7 +513,7 @@ mod tests {
             (oltp, OrgKind::Private),
             (oltp, OrgKind::Shared), // duplicate submission
         ];
-        let mut par = ParallelLab::with_threads(tiny_cfg(), 2);
+        let mut par = Lab::with_threads(tiny_cfg(), 2);
         let timings = par.prefetch(&pairs).unwrap();
         assert_eq!(timings.len(), 2, "duplicate must not be simulated");
         assert_eq!(par.simulations(), 2);
@@ -603,7 +521,7 @@ mod tests {
         assert!(par.prefetch(&pairs).unwrap().is_empty());
         assert_eq!(par.simulations(), 2);
 
-        let mut seq = Lab::new(tiny_cfg());
+        let mut seq = Lab::with_threads(tiny_cfg(), 1);
         for (w, k) in [(oltp, OrgKind::Shared), (oltp, OrgKind::Private)] {
             assert_eq!(par.result(w, k), seq.result(w, k), "{w:?}/{k:?}");
         }
@@ -618,7 +536,7 @@ mod tests {
             (bad, OrgKind::Shared),
             (oltp, OrgKind::Shared), // duplicate submission
         ];
-        let mut par = ParallelLab::with_threads(tiny_cfg(), 2);
+        let mut par = Lab::with_threads(tiny_cfg(), 2);
         let slots = par.run_batch(&pairs);
         assert_eq!(slots.len(), 3, "one slot per submission, duplicates included");
         assert!(
@@ -652,7 +570,7 @@ mod tests {
 
     #[test]
     fn prefetch_surfaces_first_error_but_caches_valid_pairs() {
-        let mut par = ParallelLab::with_threads(tiny_cfg(), 2);
+        let mut par = Lab::with_threads(tiny_cfg(), 2);
         let pairs = [
             (WorkloadId::Multithreaded("barnes"), OrgKind::Shared),
             (WorkloadId::Multithreaded("tpch"), OrgKind::Shared),
@@ -662,5 +580,29 @@ mod tests {
         assert_eq!(err, SimError::UnknownWorkload("tpch".into()));
         assert_eq!(par.simulations(), 1, "the valid pair is cached");
         assert!(par.try_result(WorkloadId::Multithreaded("barnes"), OrgKind::Shared).is_ok());
+    }
+
+    #[test]
+    fn duplicate_batch_coalesces_to_one_simulation() {
+        let pair: Pair = (WorkloadId::Multithreaded("barnes"), OrgKind::Shared);
+        let mut lab = Lab::with_threads(tiny_cfg(), 2);
+        let slots = lab.run_batch(&[pair, pair, pair]);
+        assert_eq!(slots.len(), 3);
+        assert_eq!(lab.simulations(), 1);
+        let batched = slots.into_iter().next().unwrap().into_result(pair).unwrap();
+        let mut lazy = Lab::with_threads(tiny_cfg(), 1);
+        assert_eq!(&batched, lazy.result(pair.0, pair.1), "batch and lazy paths agree");
+    }
+
+    #[test]
+    fn thread_policy_and_journal_knobs_apply() {
+        let mut lab = Lab::with_threads(tiny_cfg(), 4);
+        assert_eq!(lab.threads(), 4);
+        lab.set_threads(0);
+        assert_eq!(lab.threads(), 1, "clamped");
+        lab.set_resilience(Resilience { max_attempts: 5, ..Resilience::default() });
+        assert_eq!(lab.resilience().max_attempts, 5);
+        assert!(lab.journal_path().is_none());
+        assert!(lab.sync_journal().is_ok(), "journal-less sync is a no-op");
     }
 }

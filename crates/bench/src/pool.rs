@@ -1,8 +1,8 @@
 //! A dependency-free scoped-thread worker pool with panic isolation
-//! and supervised deadlines.
+//! and supervised deadlines, behind one entry point: [`run_jobs`].
 //!
-//! The container builds offline with vendored shims only, so instead
-//! of `rayon` the batch harness hand-rolls fan-out on
+//! The workspace builds offline with vendored shims only, so instead
+//! of `rayon` the pool hand-rolls fan-out on
 //! [`std::thread::scope`] plus an [`mpsc`] channel: jobs wait in a
 //! mutex-guarded deque, each worker repeatedly pops the next one, and
 //! finished results flow back tagged with their submission index so
@@ -22,9 +22,9 @@
 //!   ([`std::sync::PoisonError::into_inner`]): even if a panic ever
 //!   did unwind while a guard was live, the next worker drains the
 //!   remaining jobs instead of cascading `expect` panics;
-//! * [`run_jobs_supervised`] adds a watchdog thread with per-job
-//!   deadlines and a cooperative [`CancelToken`]: a job that overruns
-//!   its deadline is flagged, its (late) result is discarded as
+//! * an optional per-job deadline adds a watchdog thread and a
+//!   cooperative [`CancelToken`]: a job that overruns its deadline is
+//!   flagged, its (late) result is discarded as
 //!   [`JobError::TimedOut`], and well-behaved long operations can
 //!   poll the token to bail out early;
 //! * a result that was computed but could not be delivered (the
@@ -45,6 +45,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use cmp_sim::SimError;
+
 /// Environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "CMP_BENCH_THREADS";
 
@@ -55,7 +57,7 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(5);
 
 /// A boxed job for heterogeneous batches (e.g. the ablation studies,
 /// whose runs close over different organization builders).
-pub type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
+pub type Job<'a, T> = Box<dyn FnOnce(&CancelToken) -> T + Send + 'a>;
 
 /// Why a job produced no usable result.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -119,6 +121,25 @@ pub struct BatchOutcome<T> {
     pub orphaned: Vec<usize>,
 }
 
+impl<T> BatchOutcome<T> {
+    /// Every job's value in submission order, or the first failure
+    /// (by submission index) as [`SimError::JobFailed`] — the
+    /// fail-fast shape the report binaries unwrap with
+    /// [`crate::ok_or_exit`].
+    pub fn into_values(self) -> Result<Vec<T>, SimError> {
+        self.results
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| {
+                r.map_err(|e| SimError::JobFailed {
+                    pair: format!("job {i}"),
+                    cause: e.to_string(),
+                })
+            })
+            .collect()
+    }
+}
+
 /// Locks a mutex, recovering the guard if a previous holder panicked:
 /// the queue and registries only hold plain data that is valid at
 /// every instruction boundary, so a poisoned lock is safe to adopt.
@@ -172,60 +193,14 @@ fn available() -> usize {
 }
 
 /// Runs every job on a pool of at most `threads` scoped workers and
-/// returns the results **in submission order**.
+/// returns each job's outcome **in submission order**: panic
+/// isolation per job, poison recovery on every lock, an optional
+/// per-job `deadline` enforced by a watchdog thread, and orphan
+/// accounting.
 ///
-/// `threads` is clamped to `1..=jobs.len()`; with one worker (or one
-/// job) the jobs run inline on the caller's thread, so a
+/// `threads` is clamped to `1..=jobs.len()`; with one worker and no
+/// deadline the jobs run inline on the caller's thread, so a
 /// single-threaded batch is exactly the sequential loop.
-///
-/// Panic semantics: a panicking job is *isolated* — every other job
-/// still runs to completion and delivers its result — and the batch
-/// then panics once on the caller's thread with the first captured
-/// payload, so legacy callers keep fail-fast behaviour without the
-/// old poison cascade. Callers that want per-job outcomes instead
-/// should use [`run_jobs_isolated`] or [`run_jobs_supervised`].
-pub fn run_jobs<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    let total = jobs.len();
-    let results = run_jobs_isolated(jobs, threads);
-    let mut out = Vec::with_capacity(total);
-    let mut first_failure: Option<String> = None;
-    let mut failed = 0usize;
-    for result in results {
-        match result {
-            Ok(v) => out.push(v),
-            Err(e) => {
-                failed += 1;
-                if first_failure.is_none() {
-                    first_failure = Some(e.to_string());
-                }
-            }
-        }
-    }
-    if let Some(msg) = first_failure {
-        panic!("{failed} of {total} pool jobs failed; first failure: {msg}");
-    }
-    out
-}
-
-/// Like [`run_jobs`], but panic-isolating: each job's outcome comes
-/// back as `Result<T, JobError>` in submission order, and a panic in
-/// one job never disturbs the others.
-pub fn run_jobs_isolated<T, F>(jobs: Vec<F>, threads: usize) -> Vec<Result<T, JobError>>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    let wrapped: Vec<_> = jobs.into_iter().map(|job| move |_: &CancelToken| job()).collect();
-    run_jobs_supervised(wrapped, threads, None).results
-}
-
-/// The fully supervised batch runner: panic isolation per job, poison
-/// recovery on every lock, an optional per-job `deadline` enforced by
-/// a watchdog thread, and orphan accounting.
 ///
 /// Each job receives a [`CancelToken`]; when a deadline is set, a
 /// watchdog cancels the token of any job running longer than the
@@ -233,11 +208,7 @@ where
 /// [`JobError::TimedOut`] (a thread cannot be killed, so cancellation
 /// is cooperative — but the *outcome* is fenced regardless of whether
 /// the job polls the token).
-pub fn run_jobs_supervised<T, F>(
-    jobs: Vec<F>,
-    threads: usize,
-    deadline: Option<Duration>,
-) -> BatchOutcome<T>
+pub fn run_jobs<T, F>(jobs: Vec<F>, threads: usize, deadline: Option<Duration>) -> BatchOutcome<T>
 where
     F: FnOnce(&CancelToken) -> T + Send,
     T: Send,
@@ -358,7 +329,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let jobs: Vec<_> = (0..20u64)
                 .map(|i| {
-                    move || {
+                    move |_: &CancelToken| {
                         // Stagger finish times so completion order
                         // differs from submission order.
                         std::thread::sleep(std::time::Duration::from_micros(((20 - i) % 5) * 200));
@@ -366,29 +337,31 @@ mod tests {
                     }
                 })
                 .collect();
-            let out = run_jobs(jobs, threads);
+            let out = run_jobs(jobs, threads, None).into_values().unwrap();
             assert_eq!(out, (0..20u64).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
         }
     }
 
     #[test]
     fn empty_batch_and_more_threads_than_jobs() {
-        let none: Vec<fn() -> u32> = Vec::new();
-        assert_eq!(run_jobs(none, 4), Vec::<u32>::new());
-        let out = run_jobs(vec![|| 1u32, || 2u32], 64);
-        assert_eq!(out, vec![1, 2]);
+        let none: Vec<Job<u32>> = Vec::new();
+        assert_eq!(run_jobs(none, 4, None).into_values().unwrap(), Vec::<u32>::new());
+        let jobs: Vec<Job<u32>> =
+            vec![Box::new(|_: &CancelToken| 1), Box::new(|_: &CancelToken| 2)];
+        assert_eq!(run_jobs(jobs, 64, None).into_values().unwrap(), vec![1, 2]);
     }
 
     #[test]
     fn boxed_heterogeneous_jobs_run() {
         let a = 3u64;
-        let jobs: Vec<Job<u64>> = vec![Box::new(move || a + 1), Box::new(|| 40)];
-        assert_eq!(run_jobs(jobs, 2), vec![4, 40]);
+        let jobs: Vec<Job<u64>> =
+            vec![Box::new(move |_: &CancelToken| a + 1), Box::new(|_: &CancelToken| 40)];
+        assert_eq!(run_jobs(jobs, 2, None).into_values().unwrap(), vec![4, 40]);
     }
 
     #[test]
     fn zero_threads_is_clamped_to_one() {
-        assert_eq!(run_jobs(vec![|| 7u8], 0), vec![7]);
+        assert_eq!(run_jobs(vec![|_: &CancelToken| 7u8], 0, None).into_values().unwrap(), vec![7]);
     }
 
     #[test]
@@ -398,13 +371,13 @@ mod tests {
             let jobs: Vec<Job<u64>> = (0..6u64)
                 .map(|i| -> Job<u64> {
                     if i == 2 {
-                        Box::new(|| panic!("injected panic: job 2"))
+                        Box::new(|_: &CancelToken| panic!("injected panic: job 2"))
                     } else {
-                        Box::new(move || i * 10)
+                        Box::new(move |_: &CancelToken| i * 10)
                     }
                 })
                 .collect();
-            let results = run_jobs_isolated(jobs, threads);
+            let results = run_jobs(jobs, threads, None).results;
             assert_eq!(results.len(), 6);
             for (i, result) in results.iter().enumerate() {
                 if i == 2 {
@@ -421,18 +394,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_run_jobs_reports_a_batch_panic_once() {
+    fn into_values_reports_the_first_failure_by_submission_index() {
         quiet_injected_panics();
         let jobs: Vec<Job<u32>> = vec![
-            Box::new(|| 1),
-            Box::new(|| panic!("injected panic: a")),
-            Box::new(|| panic!("injected panic: b")),
-            Box::new(|| 4),
+            Box::new(|_: &CancelToken| 1),
+            Box::new(|_: &CancelToken| panic!("injected panic: a")),
+            Box::new(|_: &CancelToken| panic!("injected panic: b")),
+            Box::new(|_: &CancelToken| 4),
         ];
-        let caught = catch_unwind(AssertUnwindSafe(|| run_jobs(jobs, 2)));
-        let msg = payload_message(caught.unwrap_err());
-        assert!(msg.contains("2 of 4 pool jobs failed"), "{msg}");
-        assert!(msg.contains("injected panic: a"), "first failure in submission order: {msg}");
+        match run_jobs(jobs, 2, None).into_values() {
+            Err(SimError::JobFailed { pair, cause }) => {
+                assert_eq!(pair, "job 1");
+                assert_eq!(cause, "panicked: injected panic: a");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
@@ -451,7 +427,7 @@ mod tests {
                 }
             })
             .collect();
-        let outcome = run_jobs_supervised(jobs, 2, Some(Duration::from_millis(50)));
+        let outcome = run_jobs(jobs, 2, Some(Duration::from_millis(50)));
         assert_eq!(outcome.results[0], Ok(0));
         assert_eq!(outcome.results[1], Err(JobError::TimedOut));
         assert_eq!(outcome.results[2], Ok(2));
@@ -472,7 +448,7 @@ mod tests {
                 }
             })
             .collect();
-        let outcome = run_jobs_supervised(jobs, 1, Some(Duration::from_millis(50)));
+        let outcome = run_jobs(jobs, 1, Some(Duration::from_millis(50)));
         assert_eq!(outcome.results[0], Err(JobError::TimedOut));
         assert_eq!(outcome.results[1], Ok(1));
     }

@@ -35,10 +35,10 @@
 //! Simulation purity makes all of this safe: a pair's result is a
 //! pure function of `(pair, config)`, so a restarted worker's results
 //! are bit-identical to the lost worker's, and the merged report is
-//! byte-identical to a single-process [`crate::lab::ParallelLab`]
-//! sweep — the `shard_chaos` gate in `cmp-serve` proves that equality
-//! on serialized bytes while SIGKILLing workers mid-sweep from a
-//! seeded [`KillSchedule`].
+//! byte-identical to a single-process [`crate::Lab`] sweep — the
+//! `shard_chaos` gate in `cmp-serve` proves that equality on
+//! serialized bytes while SIGKILLing workers mid-sweep from a seeded
+//! [`KillSchedule`].
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};

@@ -20,7 +20,7 @@
 //! (2 MB per core, the paper's ratio), and the run goes through
 //! `cmp_sim::run_workload_mono_with`. Interned specs
 //! ([`intern`]) become [`crate::lab::WorkloadId::Spec`] cache keys,
-//! so spec runs ride the same memoizing batch engine, checkpoint
+//! so spec runs ride the same memoizing lab, checkpoint
 //! journal, and serving layer as the paper's own pairs.
 
 use std::collections::HashMap;

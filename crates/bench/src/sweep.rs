@@ -153,7 +153,7 @@ pub(crate) fn run_pairs(
                 }
             })
             .collect();
-        let outcome = pool::run_jobs_supervised(jobs, threads, resilience.deadline);
+        let outcome = pool::run_jobs(jobs, threads, resilience.deadline);
         report.orphaned += outcome.orphaned.len();
         let mut still = Vec::new();
         for ((index, _), job_result) in pending.into_iter().zip(outcome.results) {

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 
-use cmp_bench::{figures, Lab, ResultSource, WorkloadId};
+use cmp_bench::{figures, Lab, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig, StopMetric, StopRule};
 
 const REL_HALF_WIDTH: f64 = 0.05;

@@ -8,7 +8,7 @@ use std::sync::Once;
 use std::time::Duration;
 
 use cmp_audit::{ChaosEvent, ChaosSchedule, ChaosSpec};
-use cmp_bench::{figures, Pair, ParallelLab, Resilience, ResultSource, WorkloadId};
+use cmp_bench::{figures, Lab, Pair, Resilience, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig};
 
 /// Stalls run far past the deadline, so only the watchdog ends them.
@@ -46,7 +46,7 @@ fn converges_at(threads: usize) {
     let unique: Vec<Pair> = submitted.iter().copied().filter(|p| seen.insert(*p)).collect();
 
     // Fault-free reference.
-    let mut reference = ParallelLab::with_threads(tiny_cfg(), threads);
+    let mut reference = Lab::with_threads(tiny_cfg(), threads);
     reference.prefetch(&submitted).unwrap();
     assert!(reference.last_report().is_clean(), "{}", reference.last_report().summary());
     let want_figure = figures::fig6(&mut reference);
@@ -57,7 +57,7 @@ fn converges_at(threads: usize) {
     let armed_panics =
         schedule.specs().iter().filter(|s| s.event == ChaosEvent::WorkerPanic).count();
     let armed_stalls = schedule.len() - armed_panics;
-    let mut chaos = ParallelLab::with_threads(tiny_cfg(), threads);
+    let mut chaos = Lab::with_threads(tiny_cfg(), threads);
     chaos.set_resilience(Resilience {
         max_attempts: 3,
         deadline: Some(DEADLINE),
@@ -102,7 +102,7 @@ fn exhausted_retries_quarantine_without_aborting_the_sweep() {
     let specs = (0..2)
         .map(|attempt| ChaosSpec { job: 1, attempt, event: ChaosEvent::WorkerPanic })
         .collect();
-    let mut lab = ParallelLab::with_threads(tiny_cfg(), 2);
+    let mut lab = Lab::with_threads(tiny_cfg(), 2);
     lab.set_resilience(Resilience {
         max_attempts: 2,
         deadline: None,
@@ -121,7 +121,7 @@ fn exhausted_retries_quarantine_without_aborting_the_sweep() {
 
     // The quarantined pair is still reachable on demand through the
     // sequential path (no chaos there), so figures can always render.
-    let mut reference = ParallelLab::with_threads(tiny_cfg(), 1);
+    let mut reference = Lab::with_threads(tiny_cfg(), 1);
     let want = reference.result(pairs[1].0, pairs[1].1).clone();
     assert_eq!(lab.result(pairs[1].0, pairs[1].1), &want);
     assert_eq!(lab.simulations(), 3);

@@ -7,7 +7,7 @@
 //! every counter), rendered figure text, and the numeric series the
 //! golden suite snapshots.
 
-use cmp_bench::{figures, Lab, ParallelLab, ResultSource, WorkloadId};
+use cmp_bench::{figures, Lab, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn cfg() -> RunConfig {
@@ -22,12 +22,12 @@ fn grid() -> Vec<(WorkloadId, OrgKind)> {
 
 #[test]
 fn parallel_lab_matches_sequential_at_1_2_8_and_16_threads() {
-    let mut seq = Lab::new(cfg());
+    let mut seq = Lab::with_threads(cfg(), 1);
     for &(w, k) in &grid() {
         seq.try_result(w, k).expect("sequential run");
     }
     for threads in [1, 2, 8, 16] {
-        let mut par = ParallelLab::with_threads(cfg(), threads);
+        let mut par = Lab::with_threads(cfg(), threads);
         par.prefetch(&grid()).expect("parallel sweep");
         for (w, k) in grid() {
             assert_eq!(
@@ -51,13 +51,13 @@ fn parallel_lab_matches_sequential_at_1_2_8_and_16_threads() {
 fn sweep_under_enabled_obs_is_bit_identical_across_runs() {
     let was_enabled = cmp_obs::enabled();
     cmp_obs::set_enabled(true);
-    let mut seq = Lab::new(cfg());
+    let mut seq = Lab::with_threads(cfg(), 1);
     for &(w, k) in &grid() {
         seq.try_result(w, k).expect("sequential run");
     }
     let mut runs = Vec::new();
     for _ in 0..2 {
-        let mut par = ParallelLab::with_threads(cfg(), 16);
+        let mut par = Lab::with_threads(cfg(), 16);
         par.prefetch(&grid()).expect("parallel sweep under CMP_OBS=1");
         runs.push(par);
     }
@@ -77,8 +77,8 @@ fn sweep_under_enabled_obs_is_bit_identical_across_runs() {
 
 #[test]
 fn second_run_at_same_seed_is_bit_identical() {
-    let mut first = Lab::new(cfg());
-    let mut second = Lab::new(cfg());
+    let mut first = Lab::with_threads(cfg(), 1);
+    let mut second = Lab::with_threads(cfg(), 1);
     for (w, k) in grid() {
         assert_eq!(
             first.result(w, k),
@@ -93,8 +93,8 @@ fn second_run_at_same_seed_is_bit_identical() {
 #[test]
 fn mixes_are_thread_count_invariant_too() {
     let pairs: Vec<_> = OrgKind::ALL.into_iter().map(|k| (WorkloadId::Mix("MIX2"), k)).collect();
-    let mut seq = Lab::new(cfg());
-    let mut par = ParallelLab::with_threads(cfg(), 8);
+    let mut seq = Lab::with_threads(cfg(), 1);
+    let mut par = Lab::with_threads(cfg(), 8);
     par.prefetch(&pairs).expect("parallel sweep");
     for (w, k) in pairs {
         assert_eq!(par.result(w, k), seq.result(w, k), "{}/{}", w.name(), k.name());
@@ -103,8 +103,8 @@ fn mixes_are_thread_count_invariant_too() {
 
 #[test]
 fn every_figure_renders_byte_identically_from_the_parallel_lab() {
-    let mut seq = Lab::new(cfg());
-    let mut par = ParallelLab::with_threads(cfg(), 8);
+    let mut seq = Lab::with_threads(cfg(), 1);
+    let mut par = Lab::with_threads(cfg(), 8);
     par.prefetch(&figures::pairs::all()).expect("parallel sweep");
 
     let figures_seq: Vec<String> = vec![
@@ -135,10 +135,8 @@ fn every_figure_renders_byte_identically_from_the_parallel_lab() {
 
     // The numeric series (what the golden suite snapshots and what
     // the figure JSON is built from) must agree exactly as well.
-    for ((name, _, extract_seq), (_, _, extract_par)) in
-        figures::series::catalog::<Lab>().into_iter().zip(figures::series::catalog::<ParallelLab>())
-    {
-        assert_eq!(extract_seq(&mut seq), extract_par(&mut par), "series {name} diverged");
+    for (name, _, extract) in figures::series::catalog() {
+        assert_eq!(extract(&mut seq), extract(&mut par), "series {name} diverged");
     }
 
     // And the parallel sweep took no more simulations than the

@@ -15,7 +15,7 @@ use std::sync::Once;
 
 use cmp_audit::{ChaosEvent, ChaosSchedule, ChaosSpec};
 use cmp_bench::obs_report::{snapshot_from_json, snapshot_to_json};
-use cmp_bench::{figures, Json, ParallelLab, Resilience, ResultSource, WorkloadId};
+use cmp_bench::{figures, Json, Lab, Resilience, WorkloadId};
 use cmp_sim::{OrgKind, RunConfig};
 
 fn goldens_dir() -> PathBuf {
@@ -49,7 +49,7 @@ fn quiet_injected_panics() {
 fn live_snapshot_roundtrips_through_json_text() {
     cmp_obs::set_enabled(true);
     // Touch the taxonomy so the snapshot is non-trivial.
-    let mut lab = ParallelLab::with_threads(RunConfig::sized(200, 400, 3), 2);
+    let mut lab = Lab::with_threads(RunConfig::sized(200, 400, 3), 2);
     lab.prefetch(&[(WorkloadId::Multithreaded("barnes"), OrgKind::Shared)]).unwrap();
     let snap = cmp_obs::snapshot();
     assert!(!snap.counters.is_empty(), "a sweep must register counters");
@@ -67,11 +67,9 @@ fn live_snapshot_roundtrips_through_json_text() {
 fn golden_figure_is_byte_identical_with_obs_enabled() {
     cmp_obs::set_enabled(true);
     let cfg = RunConfig::default();
-    let mut lab = ParallelLab::new(cfg);
-    let (name, pairs, extract) = figures::series::catalog::<ParallelLab>()
-        .into_iter()
-        .next()
-        .expect("catalog is never empty");
+    let mut lab = Lab::new(cfg);
+    let (name, pairs, extract) =
+        figures::series::catalog().into_iter().next().expect("catalog is never empty");
     lab.prefetch(&pairs).unwrap();
     let series = extract(&mut lab);
     let current = format!("{}\n", figures::series::golden_json(name, lab.config(), &series));
@@ -95,7 +93,7 @@ fn chaos_journaled_sweep_fires_the_counter_taxonomy() {
     let journal =
         std::env::temp_dir().join(format!("cmp_obs_metrics_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&journal);
-    let mut lab = ParallelLab::with_journal(cfg, 2, &journal).unwrap();
+    let mut lab = Lab::with_journal(cfg, 2, &journal).unwrap();
     // Panic job 0's first attempt: the retry succeeds, so the sweep
     // stays complete while sweep.retries goes nonzero.
     lab.set_resilience(Resilience {

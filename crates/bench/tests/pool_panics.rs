@@ -6,17 +6,13 @@
 //!   order — one bad job never takes siblings or the batch down;
 //! * every panicking job is reported exactly once, as
 //!   [`JobError::Panicked`] carrying its own payload (not a sibling's,
-//!   and not `N` cascaded reports from a poisoned queue);
-//! * the legacy fail-fast [`cmp_bench::pool::run_jobs`] drains the
-//!   whole batch first and then panics exactly once, with a message
-//!   that counts the failures and quotes the first one.
+//!   and not `N` cascaded reports from a poisoned queue).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 
 use proptest::prelude::*;
 
-use cmp_bench::pool::{run_jobs, run_jobs_isolated};
+use cmp_bench::pool::{run_jobs, CancelToken};
 use cmp_bench::JobError;
 
 /// Silences the default panic hook for the panics this suite injects
@@ -32,7 +28,7 @@ fn quiet_injected_panics() {
                 .map(|s| (*s).to_string())
                 .or_else(|| info.payload().downcast_ref::<String>().cloned())
                 .unwrap_or_default();
-            if !msg.contains("injected panic") && !msg.contains("pool jobs failed") {
+            if !msg.contains("injected panic") {
                 prev(info);
             }
         }));
@@ -75,7 +71,7 @@ proptest! {
         quiet_injected_panics();
         let jobs: Vec<_> = (0..n)
             .map(|i| {
-                move || {
+                move |_: &CancelToken| {
                     if dies(mask, i) {
                         panic!("injected panic #{i}");
                     }
@@ -83,7 +79,7 @@ proptest! {
                 }
             })
             .collect();
-        let results = run_jobs_isolated(jobs, threads);
+        let results = run_jobs(jobs, threads, None).results;
         prop_assert_eq!(results.len(), n, "one slot per job, always");
         for (i, result) in results.iter().enumerate() {
             match result {
@@ -98,54 +94,6 @@ proptest! {
                     prop_assert_eq!(msg, &format!("injected panic #{i}"));
                 }
                 Err(other) => prop_assert!(false, "job {} unexpected error {:?}", i, other),
-            }
-        }
-    }
-
-    #[test]
-    fn legacy_batch_panics_once_after_draining(
-        n in 1usize..25,
-        mask in any::<u64>(),
-        threads in 1usize..9,
-    ) {
-        quiet_injected_panics();
-        let jobs: Vec<_> = (0..n)
-            .map(|i| {
-                move || {
-                    if dies(mask, i) {
-                        panic!("injected panic #{i}");
-                    }
-                    i
-                }
-            })
-            .collect();
-        let failed: Vec<usize> = (0..n).filter(|&i| dies(mask, i)).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_jobs(jobs, threads)));
-        match outcome {
-            Ok(out) => {
-                prop_assert!(failed.is_empty(), "panics were armed but none surfaced");
-                prop_assert_eq!(out, (0..n).collect::<Vec<_>>());
-            }
-            Err(payload) => {
-                prop_assert!(!failed.is_empty(), "batch panicked with no armed panic");
-                // One batch-level panic, counting every failure and
-                // quoting the first in submission order — not N
-                // cascaded panics, not a poisoned-mutex `expect`.
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_else(|| "non-string payload".into());
-                prop_assert!(
-                    msg.contains(&format!("{} of {} pool jobs failed", failed.len(), n)),
-                    "bad batch report: {}",
-                    msg
-                );
-                prop_assert!(
-                    msg.contains(&format!("injected panic #{}", failed[0])),
-                    "first failure not in submission order: {}",
-                    msg
-                );
-                prop_assert!(!msg.contains("poisoned"), "poison cascade leaked: {}", msg);
             }
         }
     }

@@ -121,7 +121,12 @@ fn best_per_op_nanos(threads: usize, ops: usize, op: &(impl Fn() + Sync)) -> f64
 /// serialized path through.
 const SUPERLINEAR_SLACK: f64 = 8.0;
 
+// Wall-clock ratios flip on busy or small hosts, so the required
+// suite relies on the structural check in `cmp-mem`
+// (`warm_zipf_new_proceeds_while_a_reader_holds_the_pool`); the CI
+// `scaling` job still runs this one with `--include-ignored`.
 #[test]
+#[ignore = "wall-clock contention ratio; run by the CI scaling job"]
 fn zipf_intern_pool_read_path_does_not_serialize() {
     let _guard = timing_lock();
     // Warm the pool so every timed call takes the interned read path

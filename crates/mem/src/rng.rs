@@ -446,8 +446,42 @@ mod tests {
         assert!((counts[0] as f64 / 30_000.0 - 0.1).abs() < 0.02);
     }
 
+    /// Serializes the tests that touch the process-wide Zipf pool. A
+    /// test holding the pool's read lock must not overlap another
+    /// test's first insert: a queued writer blocks new readers, which
+    /// would stall the held-lock test for reasons that have nothing
+    /// to do with the read path under test.
+    fn pool_tests_serialized() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Structural check that the warm `Zipf::new` path shares the
+    /// pool with other readers: while this thread holds the pool's
+    /// read lock, another thread's `Zipf::new` of an interned
+    /// distribution must complete. A read path that took the write
+    /// lock (or a `Mutex`) would block until the guard drops, and the
+    /// generous timeout turns that into a deterministic failure
+    /// instead of a ns-per-op ratio.
+    #[test]
+    fn warm_zipf_new_proceeds_while_a_reader_holds_the_pool() {
+        let _serial = pool_tests_serialized();
+        let (n, theta) = (4096, 0.9);
+        let _warm = Zipf::new(n, theta);
+        let held = zipf_pool().read().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(Zipf::new(n, theta).len());
+        });
+        let outcome = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(held);
+        worker.join().expect("worker thread");
+        assert_eq!(outcome, Ok(n), "warm Zipf::new blocked behind a held read lock");
+    }
+
     #[test]
     fn zipf_uniform_when_theta_zero() {
+        let _serial = pool_tests_serialized();
         let mut rng = Rng::new(31);
         let zipf = Zipf::new(4, 0.0);
         let mut counts = [0usize; 4];
@@ -461,6 +495,7 @@ mod tests {
 
     #[test]
     fn zipf_skews_toward_low_ranks() {
+        let _serial = pool_tests_serialized();
         let mut rng = Rng::new(41);
         let zipf = Zipf::new(100, 1.0);
         let mut low = 0usize;
@@ -476,6 +511,7 @@ mod tests {
 
     #[test]
     fn zipf_bucketed_search_matches_full_binary_search() {
+        let _serial = pool_tests_serialized();
         // The bucket index must not change a single draw: compare
         // against the pre-optimization full binary search over the
         // same CDF, across sizes that straddle the bucket count.
@@ -501,6 +537,7 @@ mod tests {
 
     #[test]
     fn zipf_single_rank() {
+        let _serial = pool_tests_serialized();
         let mut rng = Rng::new(5);
         let zipf = Zipf::new(1, 1.2);
         assert_eq!(zipf.sample(&mut rng), 0);

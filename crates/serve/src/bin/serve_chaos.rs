@@ -31,7 +31,7 @@ use std::time::Duration;
 use cmp_audit::ChaosSchedule;
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::sweep::Resilience;
-use cmp_bench::{Json, Lab, Pair, ResultSource, MULTITHREADED};
+use cmp_bench::{Json, Lab, Pair, MULTITHREADED};
 use cmp_serve::{shard_journal_path, ServeOptions, Service};
 use cmp_sim::{OrgKind, RunConfig};
 
@@ -50,7 +50,8 @@ fn main() {
     };
     let mut failures: Vec<String> = Vec::new();
 
-    // The CLI reference: the same pairs through the sequential Lab,
+    // The CLI reference: the same pairs looked up one by one through a
+    // one-worker Lab,
     // serialized to the exact bytes the journal/wire use.
     let orgs = [OrgKind::Shared, OrgKind::Private, OrgKind::Nurapid];
     let pairs: Vec<Pair> = MULTITHREADED
@@ -60,7 +61,7 @@ fn main() {
         })
         .collect();
     let mut reference: HashMap<String, String> = HashMap::new();
-    let mut lab = Lab::new(cfg);
+    let mut lab = Lab::with_threads(cfg, 1);
     for &(w, o) in &pairs {
         let bytes = run_result_to_json(lab.result(w, o)).compact();
         reference.insert(format!("{}/{}", w.name(), o.name()), bytes);

@@ -72,8 +72,8 @@ impl ConnOptions {
 
 /// The bounded TCP accept loop: each admitted connection speaks the
 /// same NDJSON protocol as stdin and is answered synchronously
-/// (admit, process to completion, respond); the engine and its
-/// caches are shared across connections and with stdin, so a pair
+/// (admit, process to completion, respond); the service's labs and
+/// their caches are shared across connections and with stdin, so a pair
 /// simulated for one client is a cache hit for the next. Runs until
 /// the listener errors out; callers put it on its own thread.
 pub fn accept_loop(listener: TcpListener, service: Arc<Mutex<Service>>, opts: ConnOptions) {

@@ -6,7 +6,7 @@
 //! service: newline-delimited JSON requests in (stdin or a TCP
 //! socket), newline-delimited JSON responses out, with the
 //! robustness properties a shared endpoint needs layered on top of
-//! the engine the CLI binaries already use:
+//! the [`cmp_bench::Lab`] the CLI binaries already use:
 //!
 //! * bounded admission queue with explicit load shedding — overload
 //!   answers with a structured `shed` response, never with unbounded
@@ -24,7 +24,7 @@
 //!   result escapes;
 //! * bounded retry with exponential backoff for transient
 //!   infrastructure faults (worker panics, stalls);
-//! * concurrent-duplicate coalescing through the engine's memo
+//! * concurrent-duplicate coalescing through the lab's memo
 //!   cache: N identical requests cost one simulation and produce N
 //!   responses;
 //! * crash-consistent per-shard checkpoint journaling with
@@ -32,10 +32,10 @@
 //! * graceful drain: in-flight work finishes, queued work is shed
 //!   with structured responses, journals are fsynced.
 //!
-//! Because the service and the CLI batch path share one
-//! [`cmp_bench::engine::Engine`], a result served here is
+//! Because the service and the CLI batch path run every pair through
+//! the same [`cmp_bench::Lab`], a result served here is
 //! byte-identical to the same pair run by `parallel_lab` or the
-//! figure binaries — the chaos suite (`serve_chaos`) and the flood
+//! `all` binary — the chaos suite (`serve_chaos`) and the flood
 //! tests assert that equality on serialized bytes.
 //!
 //! The wire format is documented in `DESIGN.md` ("Serving") and in

@@ -1,5 +1,5 @@
-//! The serving core: a bounded admission queue in front of the
-//! shared sweep [`Engine`].
+//! The serving core: a bounded admission queue in front of one
+//! memoizing [`Lab`] per run configuration.
 //!
 //! The core is deliberately synchronous and single-threaded — the
 //! binaries wrap it in reader/worker threads, tests drive it step by
@@ -36,11 +36,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use cmp_audit::ChaosSchedule;
-use cmp_bench::engine::Engine;
 use cmp_bench::journal::run_result_to_json;
 use cmp_bench::shard::{run_sharded, ShardOptions, ShardSlot};
 use cmp_bench::sweep::Resilience;
-use cmp_bench::{BatchSlot, JobError, Json, Pair};
+use cmp_bench::{BatchSlot, JobError, Json, Lab, Pair};
 use cmp_obs::{Counter, Histogram};
 use cmp_sim::{RunConfig, SimError};
 
@@ -255,8 +254,8 @@ struct Queued {
 }
 
 /// Sizing plus the stop rule (its floats bit-cast so the key stays
-/// `Ord`/`Eq`): an approx job must never share an engine — and its
-/// memo cache — with an exact job of the same sizing.
+/// `Ord`/`Eq`): an approx job must never share a lab — and its memo
+/// cache — with an exact job of the same sizing.
 type ShardKey = (u64, u64, u64, u64, u64, u64);
 
 fn shard_key(cfg: &RunConfig) -> ShardKey {
@@ -272,7 +271,7 @@ fn shard_key(cfg: &RunConfig) -> ShardKey {
 /// The serving core. See the module docs for the property list.
 pub struct Service {
     opts: ServeOptions,
-    engines: Vec<(ShardKey, Engine)>,
+    labs: Vec<(ShardKey, Lab)>,
     queue: VecDeque<Queued>,
     chaos: Option<ChaosSchedule>,
     draining: bool,
@@ -286,7 +285,7 @@ impl Service {
         let chaos = opts.chaos.clone();
         Service {
             opts,
-            engines: Vec::new(),
+            labs: Vec::new(),
             queue: VecDeque::new(),
             chaos,
             draining: false,
@@ -312,12 +311,12 @@ impl Service {
 
     /// Total simulations actually performed across every shard.
     pub fn simulations(&self) -> usize {
-        self.engines.iter().map(|(_, e)| e.simulations()).sum()
+        self.labs.iter().map(|(_, lab)| lab.simulations()).sum()
     }
 
     /// Pairs restored from journals across every shard.
     pub fn restored(&self) -> usize {
-        self.engines.iter().map(|(_, e)| e.restored()).sum()
+        self.labs.iter().map(|(_, lab)| lab.restored()).sum()
     }
 
     /// How long until some queued job becomes ready: `Some(0)` when a
@@ -391,7 +390,7 @@ impl Service {
         }
     }
 
-    /// Runs every ready queued job through the engine and returns
+    /// Runs every ready queued job through its shard's lab and returns
     /// their response lines. Jobs in retry backoff stay queued; call
     /// again after [`Service::next_ready_in`].
     pub fn process_ready(&mut self) -> Vec<Json> {
@@ -418,7 +417,7 @@ impl Service {
         }
 
         // Group by (run-config shard, requested deadline, concurrency
-        // cap): jobs in a group share an engine call and a pool
+        // cap): jobs in a group share one lab batch and a pool
         // deadline. BTreeMap keeps group order deterministic.
         type GroupKey = (ShardKey, Option<u64>, Option<usize>);
         let mut groups: BTreeMap<GroupKey, Vec<Queued>> = BTreeMap::new();
@@ -452,7 +451,7 @@ impl Service {
     }
 
     /// The single-process batch path: the group runs through the
-    /// shared engine's supervised thread pool.
+    /// shard lab's supervised thread pool.
     fn in_process_batch(
         &mut self,
         shard: ShardKey,
@@ -464,8 +463,8 @@ impl Service {
         let chaos = self.chaos.take();
         let threads = self.opts.threads;
         let base_resilience = self.opts.resilience.clone();
-        let engine = self.engine_for(shard, cfg);
-        engine.set_threads(max_concurrency.map_or(threads, |c| c.min(threads)));
+        let lab = self.lab_for(shard, cfg);
+        lab.set_threads(max_concurrency.map_or(threads, |c| c.min(threads)));
 
         // Pool deadline: the tightest remaining budget in the group
         // (conservative for the others; a spurious timeout retries).
@@ -481,17 +480,17 @@ impl Service {
         if chaos.is_some() {
             resilience.chaos = chaos;
         }
-        engine.set_resilience(resilience);
+        lab.set_resilience(resilience);
 
         let pairs: Vec<Pair> = group.iter().map(|q| q.spec.pair).collect();
-        engine.run_batch(&pairs)
+        lab.run_batch(&pairs)
     }
 
     /// The OS-process sharded batch path: with [`ServeOptions::shard_workers`]
     /// at 2+ and a resolvable worker binary, a group of 2+ distinct
     /// uncached pairs fans out across `cmp-shard-worker` processes
-    /// ([`cmp_bench::shard`]); results are adopted into the shared
-    /// engine so coalescing, journaling, and the stats surface stay
+    /// ([`cmp_bench::shard`]); results are adopted into the same
+    /// lab so coalescing, journaling, and the stats surface stay
     /// coherent with the in-process path. Returns `None` when the
     /// path does not apply (the caller falls back in-process).
     fn shard_batch(
@@ -509,12 +508,12 @@ impl Service {
             );
             return None;
         };
-        let engine = self.engine_for(shard, cfg);
+        let lab = self.lab_for(shard, cfg);
         let mut seen = HashSet::new();
         let misses: Vec<Pair> = group
             .iter()
             .map(|q| q.spec.pair)
-            .filter(|p| !engine.contains(*p) && seen.insert(*p))
+            .filter(|p| !lab.contains(p.0, p.1) && seen.insert(*p))
             .collect();
         if misses.len() < 2 {
             return None; // a process fleet for one pair is overhead, not isolation
@@ -529,14 +528,14 @@ impl Service {
         let mut failed: HashMap<Pair, cmp_sim::SimError> = HashMap::new();
         let mut quarantined: HashMap<Pair, String> = HashMap::new();
         let mut fresh_ms: HashMap<Pair, f64> = HashMap::new();
-        let engine = self.engine_for(shard, cfg);
+        let lab = self.lab_for(shard, cfg);
         for (pair, slot) in report.pairs.iter().zip(report.slots) {
             match slot {
                 ShardSlot::Done { result, millis } => {
                     if let Some(ms) = millis {
                         fresh_ms.insert(*pair, ms);
                     }
-                    engine.adopt(*pair, *result);
+                    lab.adopt(*pair, *result);
                 }
                 ShardSlot::Failed(e) => {
                     failed.insert(*pair, e);
@@ -546,12 +545,12 @@ impl Service {
                 }
             }
         }
-        if let Err(e) = engine.sync_journal() {
+        if let Err(e) = lab.sync_journal() {
             let msg = e.to_string();
             cmp_obs::warn!("journal sync failed after sharded batch", error = msg);
         }
 
-        let engine = self.engine_for(shard, cfg);
+        let lab = self.lab_for(shard, cfg);
         Some(
             group
                 .iter()
@@ -564,7 +563,7 @@ impl Service {
                         // re-forms the group (usually small enough to
                         // fall back in-process).
                         BatchSlot::Quarantined(JobError::Panicked(cause.clone()))
-                    } else if let Some(r) = engine.peek(pair) {
+                    } else if let Some(r) = lab.peek(pair) {
                         BatchSlot::Done {
                             result: Box::new(r.clone()),
                             millis: fresh_ms.remove(&pair),
@@ -630,32 +629,32 @@ impl Service {
         responses
     }
 
-    fn engine_for(&mut self, shard: ShardKey, cfg: RunConfig) -> &mut Engine {
+    fn lab_for(&mut self, shard: ShardKey, cfg: RunConfig) -> &mut Lab {
         // Lookup-or-insert without an `unwrap()` on the freshly
         // pushed element: resolve the index first, then reborrow, so
         // the borrow checker and the panic-free surface are both
         // satisfied.
-        let i = match self.engines.iter().position(|(k, _)| *k == shard) {
+        let i = match self.labs.iter().position(|(k, _)| *k == shard) {
             Some(i) => i,
             None => {
-                let engine = self.build_engine(cfg);
-                self.engines.push((shard, engine));
-                self.engines.len() - 1
+                let lab = self.build_lab(cfg);
+                self.labs.push((shard, lab));
+                self.labs.len() - 1
             }
         };
-        &mut self.engines[i].1
+        &mut self.labs[i].1
     }
 
-    /// Builds a shard's engine, degrading gracefully when its journal
+    /// Builds a shard's lab, degrading gracefully when its journal
     /// cannot be opened: a broken journal costs durability, never
     /// availability.
-    fn build_engine(&self, cfg: RunConfig) -> Engine {
+    fn build_lab(&self, cfg: RunConfig) -> Lab {
         let threads = self.opts.threads;
-        let mut engine = match &self.opts.journal_base {
+        let mut lab = match &self.opts.journal_base {
             Some(base) => {
                 let path = shard_journal_path(base, &cfg);
-                match Engine::with_journal(cfg, threads, &path) {
-                    Ok(e) => e,
+                match Lab::with_journal(cfg, threads, &path) {
+                    Ok(lab) => lab,
                     Err(err) => {
                         let msg = err.to_string();
                         let shown = path.display().to_string();
@@ -664,15 +663,15 @@ impl Service {
                             path = shown,
                             error = msg
                         );
-                        Engine::with_threads(cfg, threads)
+                        Lab::with_threads(cfg, threads)
                     }
                 }
             }
-            None => Engine::with_threads(cfg, threads),
+            None => Lab::with_threads(cfg, threads),
         };
-        engine.set_journal_fsync_every(self.opts.fsync_every);
-        engine.set_resilience(self.opts.resilience.clone());
-        engine
+        lab.set_journal_fsync_every(self.opts.fsync_every);
+        lab.set_resilience(self.opts.resilience.clone());
+        lab
     }
 
     /// Graceful drain: refuses new work, sheds everything still
@@ -691,8 +690,8 @@ impl Service {
             DRAINED.inc();
         }
         let mut synced = true;
-        for (_, engine) in &mut self.engines {
-            if let Err(e) = engine.sync_journal() {
+        for (_, lab) in &mut self.labs {
+            if let Err(e) = lab.sync_journal() {
                 synced = false;
                 let msg = e.to_string();
                 cmp_obs::warn!("journal sync failed during drain", error = msg);
@@ -883,7 +882,7 @@ mod tests {
         let responses = svc.process_ready();
         assert_eq!(types(&responses), ["error"]);
         assert_eq!(responses[0].get("kind").and_then(|k| k.as_str()), Some("deadline-expired"));
-        assert_eq!(svc.simulations(), 0, "expired work never reaches the engine");
+        assert_eq!(svc.simulations(), 0, "expired work never reaches the lab");
         assert_eq!(svc.stats().deadline_expired, 1);
     }
 
@@ -934,7 +933,7 @@ mod tests {
     }
 
     /// Satellite: the graceful-degradation branch of
-    /// [`Service::build_engine`]. An unwritable journal base must
+    /// [`Service::build_lab`]. An unwritable journal base must
     /// warn, keep serving without checkpointing, and answer with
     /// byte-identical results.
     #[test]

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use cmp_bench::journal::run_result_to_json;
-use cmp_bench::{Json, Lab, ResultSource, WorkloadId};
+use cmp_bench::{Json, Lab, WorkloadId};
 use cmp_serve::{shard_journal_path, ServeOptions, Service};
 use cmp_sim::{OrgKind, RunConfig};
 
