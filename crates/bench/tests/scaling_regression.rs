@@ -22,6 +22,10 @@
 //!    structure that regressed to an exclusive lock multiplies it by
 //!    roughly the thread count on a multicore box and trips the
 //!    assert.
+//!    Both are `#[ignore]`d in the default `cargo test` run, where
+//!    deterministic structural checks in `cmp-mem` and `cmp-obs`
+//!    stand in for them; the CI `scaling` job runs them with
+//!    `--include-ignored`.
 //!
 //! Timing tests share a mutex so they never time each other's noise.
 
@@ -154,7 +158,12 @@ fn zipf_intern_pool_read_path_does_not_serialize() {
     );
 }
 
+// Wall-clock ratios flip on busy or small hosts, so the required
+// suite relies on the structural check in `cmp-obs`
+// (`concurrent_threads_increment_distinct_aligned_shards`); the CI
+// `scaling` job still runs this one with `--include-ignored`.
 #[test]
+#[ignore = "wall-clock contention ratio; run by the CI scaling job"]
 fn metrics_counter_hot_path_does_not_serialize() {
     let _guard = timing_lock();
     static HAMMERED: cmp_obs::Counter = cmp_obs::Counter::new("bench.contention.hammer");

@@ -1,9 +1,10 @@
 //! Generic set-associative tag array with pluggable payloads.
 //!
-//! Every cache structure in the reproduction — the private MESI
-//! caches, the shared caches, the L1s, and CMP-NuRAPID's per-core tag
-//! arrays — is an instance of [`TagArray`] with a different payload
-//! type. Victim selection is caller-controlled (via
+//! Every L2 cache structure in the reproduction — the private MESI
+//! caches, the shared caches, and CMP-NuRAPID's per-core tag arrays —
+//! is an instance of [`TagArray`] with a different payload type (the
+//! 2-way L1s use a packed per-set record of their own, in `cmp-sim`).
+//! Victim selection is caller-controlled (via
 //! [`TagArray::victim_by`]) because the paper's organizations rank
 //! victims differently: plain LRU for the baselines, the
 //! invalid → private → shared category order for CMP-NuRAPID
@@ -97,25 +98,6 @@ impl<P> TagArray<P> {
         }
         let base = self.geom.set_of(block) * self.ways;
         self.tags[base..base + self.ways].iter().position(|&t| t == tag)
-    }
-
-    /// Finds `block` and, if resident, marks its way MRU in one pass:
-    /// the set index and tag are computed once and the recency update
-    /// reuses them. Returns `(set, way)` on a hit.
-    ///
-    /// This is the all-levels read-hit fast path — equivalent to
-    /// [`TagArray::lookup`] followed by [`TagArray::touch`].
-    #[inline]
-    pub fn lookup_touch(&mut self, block: BlockAddr) -> Option<(usize, usize)> {
-        let tag = self.geom.tag_of(block);
-        if tag == EMPTY_TAG {
-            return None;
-        }
-        let set = self.geom.set_of(block);
-        let base = set * self.ways;
-        let way = self.tags[base..base + self.ways].iter().position(|&t| t == tag)?;
-        self.lru[set].touch(way);
-        Some((set, way))
     }
 
     /// Reference to the entry at (`set`, `way`), if occupied.

@@ -180,18 +180,19 @@ pub fn reset_metrics() {
     }
 }
 
+/// Metrics and the enabled flag are process-global; every unit test
+/// that toggles the flag or increments a metric holds this lock so
+/// the harness's parallel scheduling cannot interleave them. Each
+/// test still uses its own uniquely named statics.
+#[cfg(test)]
+pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Metrics and the enabled flag are process-global; every test
-    // that toggles the flag holds this lock so the harness's parallel
-    // scheduling cannot interleave them. Each test still uses its own
-    // uniquely named statics.
-    fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     #[test]
     fn counters_register_lazily_and_accumulate() {

@@ -364,6 +364,53 @@ mod tests {
         assert_eq!(snap.percentile(1.0), u64::MAX);
     }
 
+    /// Structural form of the "counter hot path does not serialize"
+    /// check: concurrent workers land on distinct cache lines, so no
+    /// increment contends with another thread's. Deterministic, unlike
+    /// a wall-clock ratio; a counter collapsed onto one atomic (or one
+    /// shard) fails it.
+    #[test]
+    fn concurrent_threads_increment_distinct_aligned_shards() {
+        use std::collections::BTreeSet;
+        use std::sync::Barrier;
+
+        assert_eq!(std::mem::align_of::<CounterShard>(), 64, "one shard per cache line");
+        assert_eq!(std::mem::size_of::<CounterShard>(), 64);
+
+        static SPREAD: Counter = Counter::new("test.shard-spread");
+        const OPS: u64 = 10_000;
+        let _guard = crate::flag_lock();
+        crate::set_enabled(true);
+        // Fresh threads, released together: each takes its shard slot
+        // on first touch while all the others are alive.
+        let barrier = Barrier::new(METRIC_SHARDS);
+        let slots: Vec<usize> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..METRIC_SHARDS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        let slot = shard_index();
+                        for _ in 0..OPS {
+                            SPREAD.inc();
+                        }
+                        slot
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker")).collect()
+        });
+        let distinct: BTreeSet<usize> = slots.iter().copied().collect();
+        assert_eq!(distinct.len(), METRIC_SHARDS, "threads shared a shard: {slots:?}");
+        for &slot in &slots {
+            assert_eq!(
+                SPREAD.shards[slot].value.load(Ordering::Relaxed),
+                OPS,
+                "shard {slot} holds exactly its own thread's increments",
+            );
+        }
+        assert_eq!(SPREAD.get(), METRIC_SHARDS as u64 * OPS, "no increment lost");
+    }
+
     #[test]
     fn empty_histogram_snapshot_reports_zero_min() {
         static EMPTY: Histogram = Histogram::new("test.empty");

@@ -32,7 +32,7 @@
 //! (serve counters plus latency percentiles from the obs
 //! histograms) is written on exit.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::net::TcpListener;
 use std::sync::mpsc::{self, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
@@ -99,17 +99,6 @@ fn main() {
     std::process::exit(code);
 }
 
-/// Emits responses; returns false when stdout is gone (client hung
-/// up — treated as a drain request, not an error loop).
-fn emit(out: &mut impl Write, responses: &[Json]) -> bool {
-    for r in responses {
-        if writeln!(out, "{}", r.compact()).is_err() {
-            return false;
-        }
-    }
-    out.flush().is_ok()
-}
-
 /// The stdin/stdout serving loop: ingest greedily (coalescing
 /// pipelined duplicates into one batch), process ready jobs, sleep
 /// only as long as the nearest retry backoff.
@@ -139,7 +128,7 @@ fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
             match rx.try_recv() {
                 Ok(line) => {
                     let responses = svc.handle_line(&line);
-                    if !emit(&mut out, &responses) {
+                    if !conn::emit(&mut out, &responses) {
                         return 0;
                     }
                 }
@@ -148,7 +137,7 @@ fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
             }
         }
         let responses = svc.process_ready();
-        if !emit(&mut out, &responses) {
+        if !conn::emit(&mut out, &responses) {
             return 0;
         }
         if svc.is_draining() {
@@ -166,7 +155,7 @@ fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
                 Ok(line) => {
                     let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
                     let responses = svc.handle_line(&line);
-                    if !emit(&mut out, &responses) {
+                    if !conn::emit(&mut out, &responses) {
                         return 0;
                     }
                 }
@@ -177,7 +166,7 @@ fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
             (None, true) => {
                 let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
                 let responses = svc.drain();
-                emit(&mut out, &responses);
+                conn::emit(&mut out, &responses);
                 return 0;
             }
             // Idle, stream open: block for the next request.
@@ -185,7 +174,7 @@ fn serve_stdin(service: &Arc<Mutex<Service>>) -> i32 {
                 Ok(line) => {
                     let mut svc = service.lock().unwrap_or_else(|p| p.into_inner());
                     let responses = svc.handle_line(&line);
-                    if !emit(&mut out, &responses) {
+                    if !conn::emit(&mut out, &responses) {
                         return 0;
                     }
                 }

@@ -80,6 +80,9 @@ pub fn accept_loop(listener: TcpListener, service: Arc<Mutex<Service>>, opts: Co
     let active = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
         let Ok(stream) = stream else { continue };
+        // Responses are small and latency-bound: send each batch at
+        // once rather than waiting to coalesce it with the next.
+        let _ = stream.set_nodelay(true);
         let Some(slot) = Slot::reserve(&active, opts.max_connections.max(1)) else {
             shed_connection(stream, opts.max_connections.max(1));
             continue;
@@ -186,14 +189,18 @@ fn idle_timeout_response(timeout: Option<Duration>) -> Json {
     resp
 }
 
-/// Writes responses as NDJSON; false when the peer is gone.
-fn emit(out: &mut impl Write, responses: &[Json]) -> bool {
+/// Writes a batch of responses as NDJSON and flushes; false when the
+/// peer is gone. The batch goes out as one buffer in one `write_all`,
+/// not a `write` per line and per newline: on a socket, the later
+/// pieces would wait behind the peer's delayed acknowledgement of the
+/// earlier ones.
+pub fn emit(out: &mut impl Write, responses: &[Json]) -> bool {
+    let mut batch = String::new();
     for r in responses {
-        if writeln!(out, "{}", r.compact()).is_err() {
-            return false;
-        }
+        batch.push_str(&r.compact());
+        batch.push('\n');
     }
-    out.flush().is_ok()
+    out.write_all(batch.as_bytes()).and_then(|()| out.flush()).is_ok()
 }
 
 #[cfg(test)]
@@ -290,6 +297,37 @@ mod tests {
         let after = CONN_TIMEOUTS.get();
         cmp_obs::set_enabled(was_enabled);
         assert!(after > before, "timeout is surfaced in serve.conn_timeouts");
+    }
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_batch_is_one_write() {
+        let mut out = CountingWriter::default();
+        let batch = [idle_timeout_response(None), idle_timeout_response(Some(Duration::ZERO))];
+        assert!(emit(&mut out, &batch));
+        assert_eq!(out.writes, 1, "one batch, one write call");
+        let text = String::from_utf8(out.bytes).expect("utf-8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines, [batch[0].compact(), batch[1].compact()]);
+        assert!(text.ends_with('\n'));
     }
 
     #[test]

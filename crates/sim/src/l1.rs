@@ -6,18 +6,84 @@
 //! filled by a read does not carry write permission: the first store
 //! to it consults the L2 (which performs the silent E→M upgrade or a
 //! BusUpg), after which stores are local.
+//!
+//! # Layout
+//!
+//! Every processor reference goes through an L1 before any L2
+//! organization sees it, so the L1 is laid out for the host's cache
+//! rather than built on the generic [`cmp_cache::TagArray`]. One
+//! simulated set is one 32-byte, 32-byte-aligned `L1Set` record:
+//! both ways' tags, one flag byte per way (valid, dirty,
+//! write-through, write-permitted), and the index of the LRU way —
+//! with two ways, true LRU is one bit. A lookup therefore touches one
+//! host cache line, and the paper's 512-set L1 is 16 KB of host
+//! memory, against ~60 KB for a `TagArray` of the same geometry.
+//!
+//! Replacement is the generic tag array's LRU policy: the victim is
+//! an invalid way if there is one, else the LRU way; a hit or a new
+//! fill makes its way MRU; an invalidation or eviction makes its way
+//! LRU; a fill of a resident block only rewrites its flags; way 0
+//! starts as LRU. A dirty line counts a writeback when it is evicted
+//! or invalidated.
 
-use cmp_cache::TagArray;
 use cmp_mem::{AccessKind, BlockAddr, CacheGeometry, Cycle};
 
-/// L1 line state.
-#[derive(Clone, Copy, Debug)]
-struct L1Entry {
-    dirty: bool,
-    /// Stores must be forwarded to the L2 (C-state block).
-    writethrough: bool,
-    /// Stores may complete locally (L2 line is M).
-    write_permitted: bool,
+/// The way holds a block.
+const VALID: u8 = 1;
+/// The line was written locally; evicting or invalidating it counts
+/// a writeback.
+const DIRTY: u8 = 1 << 1;
+/// Stores must be forwarded to the L2 (C-state block).
+const WRITETHROUGH: u8 = 1 << 2;
+/// Stores may complete locally (L2 line is M).
+const WRITE_PERMITTED: u8 = 1 << 3;
+
+/// One 2-way L1 set: everything a reference reads, in one host cache
+/// line.
+#[derive(Clone, Copy, Debug, Default)]
+#[repr(C, align(32))]
+struct L1Set {
+    /// Per-way tag; meaningful only while the way's [`VALID`] bit is
+    /// set.
+    tags: [u64; 2],
+    /// Per-way flag byte ([`VALID`], [`DIRTY`], [`WRITETHROUGH`],
+    /// [`WRITE_PERMITTED`]).
+    flags: [u8; 2],
+    /// The least recently used way (0 or 1).
+    lru: u8,
+}
+
+// The layout is the point of this type: a set must stay one aligned
+// 32-byte record, so a hit never reads a second host cache line.
+const _: () = assert!(size_of::<L1Set>() == 32 && align_of::<L1Set>() == 32);
+
+impl L1Set {
+    /// The way holding `tag`, if resident.
+    #[inline]
+    fn lookup(&self, tag: u64) -> Option<usize> {
+        if self.tags[0] == tag && self.flags[0] & VALID != 0 {
+            Some(0)
+        } else if self.tags[1] == tag && self.flags[1] & VALID != 0 {
+            Some(1)
+        } else {
+            None
+        }
+    }
+
+    /// Marks `way` most recently used.
+    #[inline]
+    fn touch(&mut self, way: usize) {
+        self.lru = (way ^ 1) as u8;
+    }
+}
+
+/// Flags of a line filled (or refilled) after an L2 access.
+#[inline]
+fn fill_flags(writethrough: bool, written: bool) -> u8 {
+    let owned = written && !writethrough;
+    VALID
+        | if writethrough { WRITETHROUGH } else { 0 }
+        | if owned { DIRTY | WRITE_PERMITTED } else { 0 }
 }
 
 /// What the L1 decided about one processor reference.
@@ -67,15 +133,27 @@ pub struct L1Stats {
 /// assert_eq!(l1.access(BlockAddr(5), AccessKind::Read), L1Outcome::Hit);
 /// ```
 pub struct L1Cache {
-    tags: TagArray<L1Entry>,
+    geom: CacheGeometry,
+    sets: Vec<L1Set>,
     latency: Cycle,
     stats: L1Stats,
 }
 
 impl L1Cache {
     /// Creates an L1 with the given geometry and latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the geometry is 2-way set-associative (the
+    /// packed set record holds exactly two ways).
     pub fn new(geom: CacheGeometry, latency: Cycle) -> Self {
-        L1Cache { tags: TagArray::new(geom), latency, stats: L1Stats::default() }
+        assert_eq!(geom.associativity(), 2, "the L1 is 2-way set-associative");
+        L1Cache {
+            geom,
+            sets: vec![L1Set::default(); geom.num_sets()],
+            latency,
+            stats: L1Stats::default(),
+        }
     }
 
     /// The paper's configuration: 64 KB, 2-way, 64 B blocks, 3 cycles.
@@ -98,24 +176,32 @@ impl L1Cache {
         self.stats = L1Stats::default();
     }
 
+    /// The index of the set `block` maps to, and its tag there.
+    #[inline]
+    fn locate(&self, block: BlockAddr) -> (usize, u64) {
+        (self.geom.set_of(block), self.geom.tag_of(block))
+    }
+
     /// Looks up `block` (L1-block address) for a read or write.
+    #[inline]
     pub fn access(&mut self, block: BlockAddr, kind: AccessKind) -> L1Outcome {
-        let Some((set, way)) = self.tags.lookup_touch(block) else {
+        let (index, tag) = self.locate(block);
+        let set = &mut self.sets[index];
+        let Some(way) = set.lookup(tag) else {
             self.stats.misses += 1;
             return L1Outcome::Miss;
         };
-        // Reads never consult the payload — keep the dominant path to
-        // the tag and recency arrays only.
+        set.touch(way);
         if kind == AccessKind::Read {
             self.stats.hits += 1;
             return L1Outcome::Hit;
         }
-        let entry = &mut self.tags.entry_mut(set, way).expect("hit entry").payload;
-        if entry.writethrough {
+        let flags = &mut set.flags[way];
+        if *flags & WRITETHROUGH != 0 {
             self.stats.store_forwards += 1;
             L1Outcome::HitWritethrough
-        } else if entry.write_permitted {
-            entry.dirty = true;
+        } else if *flags & WRITE_PERMITTED != 0 {
+            *flags |= DIRTY;
             self.stats.hits += 1;
             L1Outcome::Hit
         } else {
@@ -130,40 +216,38 @@ impl L1Cache {
     /// the L2 response (C-state block); `written` is true when the
     /// triggering reference was a store.
     pub fn fill(&mut self, block: BlockAddr, writethrough: bool, written: bool) {
-        let set = self.tags.set_of(block);
-        if let Some(way) = self.tags.lookup(block) {
-            // Already present (store-forward path): update flags.
-            let entry = &mut self.tags.entry_mut(set, way).expect("present").payload;
-            entry.writethrough = writethrough;
-            entry.write_permitted = written && !writethrough;
-            entry.dirty = entry.dirty || (written && !writethrough);
+        let (index, tag) = self.locate(block);
+        let set = &mut self.sets[index];
+        let flags = fill_flags(writethrough, written);
+        if let Some(way) = set.lookup(tag) {
+            // Already present (store-forward path): update flags,
+            // keeping a dirty line dirty; recency is untouched.
+            set.flags[way] = flags | (set.flags[way] & DIRTY);
             return;
         }
-        let way = self.tags.victim_by(set, |e| u32::from(e.is_some()));
-        if let Some((_victim, payload)) = self.tags.evict(set, way) {
-            if payload.dirty {
-                self.stats.writebacks += 1;
-            }
+        // The victim is the LRU way, which is also "an invalid way
+        // first": while exactly one way is invalid it is the LRU one,
+        // since invalidation makes a way LRU and only valid ways are
+        // touched.
+        let way = set.lru as usize;
+        if set.flags[way] & DIRTY != 0 {
+            self.stats.writebacks += 1;
         }
-        self.tags.fill(
-            set,
-            way,
-            block,
-            L1Entry {
-                dirty: written && !writethrough,
-                writethrough,
-                write_permitted: written && !writethrough,
-            },
-        );
+        set.tags[way] = tag;
+        set.flags[way] = flags;
+        set.touch(way);
     }
 
     /// Invalidates `block` if present (coherence or inclusion);
     /// returns whether a line was dropped.
     pub fn invalidate(&mut self, block: BlockAddr) -> bool {
-        let set = self.tags.set_of(block);
-        let Some(way) = self.tags.lookup(block) else { return false };
-        let (_, payload) = self.tags.evict(set, way).expect("present");
-        if payload.dirty {
+        let (index, tag) = self.locate(block);
+        let set = &mut self.sets[index];
+        let Some(way) = set.lookup(tag) else { return false };
+        let dirty = set.flags[way] & DIRTY != 0;
+        set.flags[way] = 0;
+        set.lru = way as u8;
+        if dirty {
             // Dirty data is pulled down with the invalidation
             // (flush); counted, not timed.
             self.stats.writebacks += 1;
@@ -174,13 +258,16 @@ impl L1Cache {
 
     /// `true` if `block` is resident.
     pub fn contains(&self, block: BlockAddr) -> bool {
-        self.tags.lookup(block).is_some()
+        let (index, tag) = self.locate(block);
+        self.sets[index].lookup(tag).is_some()
     }
 }
 
 impl std::fmt::Debug for L1Cache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("L1Cache").field("occupied", &self.tags.len()).finish()
+        let occupied: usize =
+            self.sets.iter().map(|s| s.flags.iter().filter(|&&f| f & VALID != 0).count()).sum();
+        f.debug_struct("L1Cache").field("occupied", &occupied).finish()
     }
 }
 

@@ -108,6 +108,8 @@ pub struct System<W, O = Box<dyn CacheOrg>> {
     workload: W,
     org: O,
     l1d: Vec<L1Cache>,
+    /// One L1 I-cache per core, built by
+    /// [`System::enable_instruction_fetch`]; empty while fetch is off.
     l1i: Vec<L1Cache>,
     ifetch: Vec<Option<IFetch>>,
     bus: Bus,
@@ -141,7 +143,7 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
             workload,
             org,
             l1d: (0..n).map(|_| L1Cache::paper()).collect(),
-            l1i: (0..n).map(|_| L1Cache::paper()).collect(),
+            l1i: Vec::new(),
             ifetch: (0..n).map(|_| None).collect(),
             bus,
             cores: vec![CoreState::default(); n],
@@ -156,7 +158,8 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
     /// read-only-shared data). Off by default; the paper's figures
     /// are driven by the data stream.
     ///
-    /// Returns whether the workload models code at all.
+    /// Returns whether the workload models code at all; the per-core
+    /// L1 I-caches are built only then.
     pub fn enable_instruction_fetch(&mut self, seed: u64) -> bool {
         let mut any = false;
         for c in CoreId::all(self.cores.len()) {
@@ -172,6 +175,9 @@ impl<W: TraceSource, O: CacheOrg> System<W, O> {
                     rng: Rng::new(seed ^ (0x1F << 8) ^ c.index() as u64),
                 });
             }
+        }
+        if any && self.l1i.is_empty() {
+            self.l1i = (0..self.cores.len()).map(|_| L1Cache::paper()).collect();
         }
         any
     }
