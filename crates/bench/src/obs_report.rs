@@ -153,7 +153,7 @@ mod tests {
                 CounterSnapshot { name: "sweep.retries".into(), value: 2 },
             ],
             histograms: vec![HistogramSnapshot {
-                name: "bus.arbitration_wait".into(),
+                name: "serve.latency_ms".into(),
                 count: 9,
                 sum: 120,
                 min: 0,

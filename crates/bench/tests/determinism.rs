@@ -41,12 +41,11 @@ fn parallel_lab_matches_sequential_at_1_2_8_and_16_threads() {
     }
 }
 
-/// Observability must be a pure observer: with `CMP_OBS=1` the
-/// sharded metric counters fire on every L2 access and bus snoop from
-/// every worker thread, and none of it may perturb results. Runs the
-/// same sweep twice with the layer enabled (16 workers, so the
-/// thread-local shard assignment differs between runs) and asserts
-/// both parallel sweeps are bit-identical to sequential.
+/// Observability must be a pure observer: with `CMP_OBS=1` every
+/// worker thread adds its runs to the metric counters and times them
+/// in spans, and none of it may perturb results. Runs the same sweep
+/// twice with the layer enabled at 16 workers and asserts both
+/// parallel sweeps are bit-identical to sequential.
 #[test]
 fn sweep_under_enabled_obs_is_bit_identical_across_runs() {
     let was_enabled = cmp_obs::enabled();

@@ -119,6 +119,7 @@ fn chaos_journaled_sweep_fires_the_counter_taxonomy() {
         "cache.l2.accesses",
         "cache.l2.hits",
         "bus.snoops",
+        "bus.arbitration_wait_cycles",
         "coherence.c_transitions",
         "sim.runs",
         "sim.accesses",
@@ -135,8 +136,4 @@ fn chaos_journaled_sweep_fires_the_counter_taxonomy() {
         });
         assert!(s.count > 0, "span {span} never closed");
     }
-    assert!(
-        snap.histograms.iter().any(|h| h.name == "bus.arbitration_wait" && h.count > 0),
-        "bus arbitration histogram never sampled"
-    );
 }

@@ -213,27 +213,13 @@ impl OrgStats {
     }
 
     /// Records an access classification.
-    ///
-    /// Every organization funnels each L2 access through here exactly
-    /// once, which makes it the choke point for the process-global
-    /// `cache.l2.*` observability counters (no-ops unless `CMP_OBS`
-    /// is set; see `cmp-obs`).
     pub fn record_class(&mut self, class: AccessClass) {
-        static L2_ACCESSES: cmp_obs::Counter = cmp_obs::Counter::new("cache.l2.accesses");
-        static L2_HITS: cmp_obs::Counter = cmp_obs::Counter::new("cache.l2.hits");
-        static L2_MISSES: cmp_obs::Counter = cmp_obs::Counter::new("cache.l2.misses");
-        L2_ACCESSES.inc();
         match class {
             AccessClass::Hit { closest: true } => self.hits_closest += 1,
             AccessClass::Hit { closest: false } => self.hits_farther += 1,
             AccessClass::MissRos => self.miss_ros += 1,
             AccessClass::MissRws => self.miss_rws += 1,
             AccessClass::MissCapacity => self.miss_capacity += 1,
-        }
-        if class.is_hit() {
-            L2_HITS.inc();
-        } else {
-            L2_MISSES.inc();
         }
     }
 }

@@ -221,14 +221,10 @@ impl Bus {
     /// Issues a transaction at local time `now`, returning when it is
     /// granted and when its snoop result is available.
     pub fn transact(&mut self, tx: BusTx, now: Cycle) -> BusGrant {
-        static SNOOPS: cmp_obs::Counter = cmp_obs::Counter::new("bus.snoops");
-        static ARB_WAIT: cmp_obs::Histogram = cmp_obs::Histogram::new("bus.arbitration_wait");
         let granted_at = now.max(self.next_free);
         self.stats.arbitration_wait += granted_at - now;
         self.next_free = granted_at + self.occupancy;
         self.stats.counts[BusStats::slot(tx)] += 1;
-        SNOOPS.inc();
-        ARB_WAIT.record(granted_at - now);
         BusGrant { granted_at, completes_at: granted_at + self.latency }
     }
 

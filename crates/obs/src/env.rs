@@ -19,32 +19,7 @@ use std::str::FromStr;
 /// * anything else → a warning naming the variable and the offending
 ///   value, then `None` so the caller's default applies.
 pub fn env_parse<T: FromStr>(name: &str) -> Option<T> {
-    match std::env::var(name) {
-        Ok(raw) => {
-            let trimmed = raw.trim();
-            if trimmed.is_empty() {
-                return None;
-            }
-            match trimmed.parse::<T>() {
-                Ok(value) => Some(value),
-                Err(_) => {
-                    let expected = std::any::type_name::<T>();
-                    crate::warn!(
-                        "ignoring unparsable environment variable",
-                        var = name,
-                        value = raw,
-                        expected = expected
-                    );
-                    None
-                }
-            }
-        }
-        Err(std::env::VarError::NotPresent) => None,
-        Err(std::env::VarError::NotUnicode(_)) => {
-            crate::warn!("ignoring non-unicode environment variable", var = name);
-            None
-        }
-    }
+    env_parse_valid(name, |_| true)
 }
 
 /// Like [`env_parse`] but with an additional validity predicate:
@@ -57,12 +32,21 @@ pub fn env_parse_valid<T: FromStr>(name: &str, valid: impl Fn(&T) -> bool) -> Op
             if trimmed.is_empty() {
                 return None;
             }
+            let expected = std::any::type_name::<T>();
             match trimmed.parse::<T>() {
                 Ok(value) if valid(&value) => Some(value),
-                _ => {
-                    let expected = std::any::type_name::<T>();
+                Ok(_) => {
                     crate::warn!(
                         "ignoring invalid environment variable",
+                        var = name,
+                        value = raw,
+                        expected = expected
+                    );
+                    None
+                }
+                Err(_) => {
+                    crate::warn!(
+                        "ignoring unparsable environment variable",
                         var = name,
                         value = raw,
                         expected = expected

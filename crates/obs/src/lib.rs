@@ -16,11 +16,11 @@
 //!
 //! Disabled cost: every increment path starts with one relaxed atomic
 //! load and an early return, `#[inline]` so the check lands in the
-//! caller. Enabled cost is contention-free as well: counters and
-//! histograms are sharded across cache-line-aligned per-thread slots
-//! ([`METRIC_SHARDS`]), folded only when a snapshot is taken, so hot
-//! per-access metrics do not serialize parallel sweep workers on a
-//! shared cache line.
+//! caller. Enabled, a metric is one set of relaxed atomics. Nothing
+//! is counted per simulated access: the simulator adds its `sim.*`,
+//! `cache.l2.*` and `bus.*` counters once per run from the run's
+//! result, so the L2 organizations and the bus carry no
+//! instrumentation at all.
 //!
 //! # Logging
 //!
@@ -87,9 +87,7 @@ mod span;
 
 pub use crate::env::{env_parse, env_parse_valid};
 pub use crate::log::{log_emit, log_enabled, Capture, Level};
-pub use crate::metrics::{
-    Counter, CounterSnapshot, Histogram, HistogramSnapshot, HIST_BUCKETS, METRIC_SHARDS,
-};
+pub use crate::metrics::{Counter, CounterSnapshot, Histogram, HistogramSnapshot, HIST_BUCKETS};
 pub use crate::span::{SpanGuard, SpanSnapshot, SpanStat};
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -1,54 +1,18 @@
 //! Monotonic counters, power-of-two histograms, and the process-wide
 //! registry both (plus spans) report into.
 //!
-//! Both metric kinds are **sharded**: a metric is a small fixed array
-//! of cache-line-aligned slots, and each thread hashes to one slot by
-//! a round-robin id assigned on first touch. Hot counters like
-//! `cache.l2.accesses` fire once per simulated access on every
-//! worker; with a single `AtomicU64` those increments all contend on
-//! one cache line and an enabled observability layer visibly
-//! flattens parallel-sweep scaling. With shards, concurrent workers
-//! land on different lines and an increment costs the same at 16
-//! threads as at 1. Reads ([`Counter::get`], snapshots) fold the
-//! shards — reporting is rare, increments are hot. The disabled path
-//! is unchanged: one relaxed load and an early return, before any
-//! shard is touched.
+//! Each metric is one set of relaxed atomics. No metric fires on
+//! every simulated access: the simulator's counters are added once
+//! per run from its `RunResult`, `coherence.c_transitions` fires only
+//! when a block joins the C state, and the batch and service layers
+//! count per job or per request, so one shared cache line per metric
+//! costs nothing measurable. The disabled path is one relaxed load
+//! and an early return.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::span::SpanStat;
-
-/// Number of shards per metric. Enough that a full complement of
-/// workers rarely collides, small enough that folding a snapshot and
-/// the per-static footprint stay trivial.
-pub const METRIC_SHARDS: usize = 8;
-
-/// The calling thread's shard slot: a round-robin id assigned on
-/// first touch, reduced mod [`METRIC_SHARDS`]. `try_with` so a
-/// metric fired during thread-local teardown degrades to shard 0
-/// instead of panicking.
-#[inline]
-fn shard_index() -> usize {
-    static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) % METRIC_SHARDS;
-    }
-    SHARD.try_with(|s| *s).unwrap_or(0)
-}
-
-/// One cache line's worth of counter state, aligned so neighbouring
-/// shards never share a line (the whole point of sharding).
-#[repr(align(64))]
-struct CounterShard {
-    value: AtomicU64,
-}
-
-impl CounterShard {
-    const fn new() -> Self {
-        CounterShard { value: AtomicU64::new(0) }
-    }
-}
 
 /// Number of histogram buckets. Bucket 0 holds the value 0; bucket
 /// `b` (1..) holds values with `b` significant bits, i.e. the range
@@ -73,12 +37,11 @@ pub(crate) fn registry() -> MutexGuard<'static, Registry> {
 }
 
 /// A monotonic event counter. Declare as a `static` next to the code
-/// it observes; increments are relaxed atomics on a per-thread shard
-/// (see the module docs) and compile to an early return while the
-/// layer is disabled.
+/// it observes; increments are relaxed atomics and compile to an
+/// early return while the layer is disabled.
 pub struct Counter {
     name: &'static str,
-    shards: [CounterShard; METRIC_SHARDS],
+    value: AtomicU64,
     registered: AtomicBool,
 }
 
@@ -86,11 +49,7 @@ impl Counter {
     /// A zeroed counter with a dotted taxonomy name
     /// (`"cache.l2.hits"`).
     pub const fn new(name: &'static str) -> Self {
-        Counter {
-            name,
-            shards: [const { CounterShard::new() }; METRIC_SHARDS],
-            registered: AtomicBool::new(false),
-        }
+        Counter { name, value: AtomicU64::new(0), registered: AtomicBool::new(false) }
     }
 
     /// Adds `n` (no-op while the layer is disabled).
@@ -99,7 +58,7 @@ impl Counter {
         if !crate::enabled() {
             return;
         }
-        self.shards[shard_index()].value.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
         if !self.registered.load(Ordering::Relaxed) {
             self.register_slow();
         }
@@ -111,10 +70,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value: the fold of every shard. A concurrent read may
-    /// miss in-flight increments (same as the unsharded counter).
+    /// Current value. A concurrent read may miss in-flight
+    /// increments.
     pub fn get(&self) -> u64 {
-        self.shards.iter().map(|s| s.value.load(Ordering::Relaxed)).sum()
+        self.value.load(Ordering::Relaxed)
     }
 
     /// The counter's name.
@@ -123,9 +82,7 @@ impl Counter {
     }
 
     pub(crate) fn reset(&self) {
-        for s in &self.shards {
-            s.value.store(0, Ordering::Relaxed);
-        }
+        self.value.store(0, Ordering::Relaxed);
     }
 
     pub(crate) fn snap(&self) -> CounterSnapshot {
@@ -149,48 +106,18 @@ pub struct CounterSnapshot {
     pub value: u64,
 }
 
-/// One shard of histogram state: buckets plus exact
-/// count/sum/min/max, aligned so shards never share a cache line.
-#[repr(align(64))]
-struct HistogramShard {
+/// A histogram over `u64` samples with power-of-two buckets (see
+/// [`HIST_BUCKETS`]) plus exact count/sum/min/max. Lock-free: every
+/// field is an independent relaxed atomic, so a concurrent snapshot
+/// may be torn across fields by a few in-flight samples — fine for
+/// reporting, never consulted by the simulation.
+pub struct Histogram {
+    name: &'static str,
     buckets: [AtomicU64; HIST_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
-}
-
-impl HistogramShard {
-    const fn new() -> Self {
-        HistogramShard {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A histogram over `u64` samples with power-of-two buckets (see
-/// [`HIST_BUCKETS`]) plus exact count/sum/min/max. Lock-free and
-/// sharded per thread (see the module docs): every field is an
-/// independent relaxed atomic, so a concurrent snapshot may be torn
-/// across fields by a few in-flight samples — fine for reporting,
-/// never consulted by the simulation.
-pub struct Histogram {
-    name: &'static str,
-    shards: [HistogramShard; METRIC_SHARDS],
     registered: AtomicBool,
 }
 
@@ -199,7 +126,11 @@ impl Histogram {
     pub const fn new(name: &'static str) -> Self {
         Histogram {
             name,
-            shards: [const { HistogramShard::new() }; METRIC_SHARDS],
+            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
             registered: AtomicBool::new(false),
         }
     }
@@ -211,12 +142,11 @@ impl Histogram {
         if !crate::enabled() {
             return;
         }
-        let shard = &self.shards[shard_index()];
-        shard.buckets[Self::bucket(value)].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum.fetch_add(value, Ordering::Relaxed);
-        shard.min.fetch_min(value, Ordering::Relaxed);
-        shard.max.fetch_max(value, Ordering::Relaxed);
+        self.buckets[Self::bucket(value)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.min.fetch_min(value, Ordering::Relaxed);
+        self.max.fetch_max(value, Ordering::Relaxed);
         if !self.registered.load(Ordering::Relaxed) {
             self.register_slow();
         }
@@ -234,37 +164,24 @@ impl Histogram {
     }
 
     pub(crate) fn reset(&self) {
-        for s in &self.shards {
-            s.reset();
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
         }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.min.store(u64::MAX, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
     }
 
     pub(crate) fn snap(&self) -> HistogramSnapshot {
-        let mut count = 0u64;
-        let mut sum = 0u64;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for shard in &self.shards {
-            let shard_count = shard.count.load(Ordering::Relaxed);
-            if shard_count == 0 {
-                continue;
-            }
-            count += shard_count;
-            sum = sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
-            min = min.min(shard.min.load(Ordering::Relaxed));
-            max = max.max(shard.max.load(Ordering::Relaxed));
-            for (slot, b) in buckets.iter_mut().zip(&shard.buckets) {
-                *slot += b.load(Ordering::Relaxed);
-            }
-        }
+        let count = self.count.load(Ordering::Relaxed);
         HistogramSnapshot {
             name: self.name.to_string(),
             count,
-            sum,
-            min: if count == 0 { 0 } else { min },
-            max,
-            buckets,
+            sum: self.sum.load(Ordering::Relaxed),
+            min: if count == 0 { 0 } else { self.min.load(Ordering::Relaxed) },
+            max: self.max.load(Ordering::Relaxed),
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
         }
     }
 
@@ -364,51 +281,39 @@ mod tests {
         assert_eq!(snap.percentile(1.0), u64::MAX);
     }
 
-    /// Structural form of the "counter hot path does not serialize"
-    /// check: concurrent workers land on distinct cache lines, so no
-    /// increment contends with another thread's. Deterministic, unlike
-    /// a wall-clock ratio; a counter collapsed onto one atomic (or one
-    /// shard) fails it.
+    /// Concurrent increments from many threads are never lost: the
+    /// counter total and the histogram's count, sum, min and max are
+    /// exact after the threads join.
     #[test]
-    fn concurrent_threads_increment_distinct_aligned_shards() {
-        use std::collections::BTreeSet;
-        use std::sync::Barrier;
-
-        assert_eq!(std::mem::align_of::<CounterShard>(), 64, "one shard per cache line");
-        assert_eq!(std::mem::size_of::<CounterShard>(), 64);
-
-        static SPREAD: Counter = Counter::new("test.shard-spread");
+    fn concurrent_increments_are_not_lost() {
+        static HITS: Counter = Counter::new("test.concurrent.counter");
+        static SAMPLES: Histogram = Histogram::new("test.concurrent.histogram");
+        const THREADS: u64 = 8;
         const OPS: u64 = 10_000;
         let _guard = crate::flag_lock();
         crate::set_enabled(true);
-        // Fresh threads, released together: each takes its shard slot
-        // on first touch while all the others are alive.
-        let barrier = Barrier::new(METRIC_SHARDS);
-        let slots: Vec<usize> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..METRIC_SHARDS)
-                .map(|_| {
-                    s.spawn(|| {
-                        barrier.wait();
-                        let slot = shard_index();
-                        for _ in 0..OPS {
-                            SPREAD.inc();
-                        }
-                        slot
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().expect("worker")).collect()
+        // Released together, so the increments overlap.
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..OPS {
+                        HITS.inc();
+                        SAMPLES.record(t * OPS + i);
+                    }
+                });
+            }
         });
-        let distinct: BTreeSet<usize> = slots.iter().copied().collect();
-        assert_eq!(distinct.len(), METRIC_SHARDS, "threads shared a shard: {slots:?}");
-        for &slot in &slots {
-            assert_eq!(
-                SPREAD.shards[slot].value.load(Ordering::Relaxed),
-                OPS,
-                "shard {slot} holds exactly its own thread's increments",
-            );
-        }
-        assert_eq!(SPREAD.get(), METRIC_SHARDS as u64 * OPS, "no increment lost");
+        assert_eq!(HITS.get(), THREADS * OPS, "counter lost increments");
+        let snap = SAMPLES.snap();
+        let n = THREADS * OPS;
+        assert_eq!(snap.count, n, "histogram lost samples");
+        assert_eq!(snap.sum, n * (n - 1) / 2, "histogram sum");
+        assert_eq!(snap.min, 0);
+        assert_eq!(snap.max, n - 1);
+        assert_eq!(snap.buckets.iter().sum::<u64>(), n, "every sample in one bucket");
     }
 
     #[test]

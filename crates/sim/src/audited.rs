@@ -19,7 +19,7 @@ use cmp_audit::{
 };
 
 use crate::error::SimError;
-use crate::runner::{build_org, workload_by_name, OrgKind, RunConfig};
+use crate::runner::{build_org, count_run, workload_by_name, OrgKind, RunConfig};
 use crate::system::{RunResult, System};
 
 /// Everything an audited run produces.
@@ -62,6 +62,7 @@ pub fn run_workload_audited(
     let injections = audited.injections();
     let mut sys = System::new(w, Box::new(audited));
     let result = sys.run_measured(cfg.warmup_accesses, cfg.measure_accesses);
+    count_run(&result);
     let artifact = violations.first().map(|v| {
         let mut art = ReplayArtifact::from_violation(
             &v,

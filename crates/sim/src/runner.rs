@@ -388,15 +388,8 @@ pub fn try_run_multithreaded_custom(
 }
 
 /// Shared measured-run tail of both workload namespaces: one
-/// `sim.run` span and the `sim.*` aggregate counters around the
-/// actual simulation. Aggregates are added once per run, after it
-/// completes, so the per-access hot path carries no instrumentation
-/// of its own.
+/// `sim.run` span around the actual simulation, then [`count_run`].
 fn run_observed<W: TraceSource, O: CacheOrg>(sys: &mut System<W, O>, cfg: &RunConfig) -> RunResult {
-    static RUNS: cmp_obs::Counter = cmp_obs::Counter::new("sim.runs");
-    static INSTRUCTIONS: cmp_obs::Counter = cmp_obs::Counter::new("sim.instructions");
-    static ACCESSES: cmp_obs::Counter = cmp_obs::Counter::new("sim.accesses");
-    static CYCLES: cmp_obs::Counter = cmp_obs::Counter::new("sim.cycles");
     static APPROX_RUNS: cmp_obs::Counter = cmp_obs::Counter::new("sim.approx.runs");
     static APPROX_EARLY: cmp_obs::Counter = cmp_obs::Counter::new("sim.approx.early_stops");
     let _span = cmp_obs::span!("sim.run");
@@ -411,11 +404,35 @@ fn run_observed<W: TraceSource, O: CacheOrg>(sys: &mut System<W, O>, cfg: &RunCo
         }
         result
     };
+    count_run(&result);
+    result
+}
+
+/// Adds one finished run to the simulator's counters. This is the
+/// only place they are counted, once per run and after it completes,
+/// so the per-access hot path carries no instrumentation and every
+/// counter is a sum of [`RunResult`] fields: `sim.*` and `cache.l2.*`
+/// over the measurement window, `bus.*` over the whole run (warm-up
+/// included), like [`RunResult::bus`].
+pub(crate) fn count_run(result: &RunResult) {
+    static RUNS: cmp_obs::Counter = cmp_obs::Counter::new("sim.runs");
+    static INSTRUCTIONS: cmp_obs::Counter = cmp_obs::Counter::new("sim.instructions");
+    static ACCESSES: cmp_obs::Counter = cmp_obs::Counter::new("sim.accesses");
+    static CYCLES: cmp_obs::Counter = cmp_obs::Counter::new("sim.cycles");
+    static L2_ACCESSES: cmp_obs::Counter = cmp_obs::Counter::new("cache.l2.accesses");
+    static L2_HITS: cmp_obs::Counter = cmp_obs::Counter::new("cache.l2.hits");
+    static L2_MISSES: cmp_obs::Counter = cmp_obs::Counter::new("cache.l2.misses");
+    static SNOOPS: cmp_obs::Counter = cmp_obs::Counter::new("bus.snoops");
+    static ARB_WAIT: cmp_obs::Counter = cmp_obs::Counter::new("bus.arbitration_wait_cycles");
     RUNS.inc();
     INSTRUCTIONS.add(result.instructions);
     ACCESSES.add(result.accesses);
     CYCLES.add(result.cycles);
-    result
+    L2_ACCESSES.add(result.l2.accesses());
+    L2_HITS.add(result.l2.hits());
+    L2_MISSES.add(result.l2.misses());
+    SNOOPS.add(result.bus.total());
+    ARB_WAIT.add(result.bus.arbitration_wait);
 }
 
 /// Runs a custom organization against a named multithreaded workload.
